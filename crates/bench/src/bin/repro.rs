@@ -4,27 +4,27 @@
 //! repro [targets...] [--out DIR]
 //!
 //! targets: hw fig1 fig2 fig3 fig4 fig5 fig6 fig6-rf2 fig7 fig8 fig9
-//!          lustre-ior ceph-ior faulted chaos chaos-replay chaos-shrink
-//!          rebalance rebalance-replay scrub scrub-replay scaleout
+//!          lustre-ior ceph-ior faulted swarm replay shrink scaleout
 //!          trace report bench-engine all quick
 //! ```
 //!
-//! `chaos` runs the seeded fault swarm (`--seeds N`, default 8) over
-//! both scenario families, archiving and shrinking any failing
-//! schedule; `chaos-replay --schedule FILE` reruns an archived schedule
-//! byte-identically; `chaos-shrink --schedule FILE` delta-debugs it to
-//! a minimal reproducer.
-//!
-//! `rebalance` swarms the live-membership family (server adds, drains,
-//! crashes aimed at migration traffic) with the same archive/shrink
-//! machinery; `rebalance-replay --schedule FILE` reruns an archived
-//! rebalance schedule.  `scrub` swarms the integrity family (bit-rot
-//! chaos against the checksum/scrub machinery) and writes the
-//! per-case `integrity.json` artifact; `scrub-replay --schedule FILE`
-//! reruns an archived integrity schedule.  `scaleout` runs the
-//! 4 → 256 server ladder
-//! against the paper's +3.86 GiB/s-per-server claim and writes the
-//! `scaleout.json` verdict artifact.
+//! `swarm --family F` runs the seeded chaos swarm (`--seeds N`, default
+//! 8) over each named family — `chaos` (the faulted family: crashes,
+//! restarts, weather, bit rot, full oracles), `engine` (capacity weather
+//! over the 12 generic scenarios, determinism oracle), `rebalance` (live
+//! membership churn) and `integrity` (bit-rot races, which also write
+//! the per-case `integrity.json` artifact); `--family` repeats.  Every
+//! failing schedule is archived, traced where the family can, and
+//! shrunk to a minimal reproducer.  `replay --schedule FILE` reruns an
+//! archived schedule of any family byte-identically; `shrink --schedule
+//! FILE` delta-debugs it to a minimal reproducer.  The older target
+//! names remain as aliases: `chaos` is `swarm --family chaos --family
+//! engine`, `rebalance` is `swarm --family rebalance`, `scrub` is `swarm
+//! --family integrity`, `chaos-replay`, `rebalance-replay` and
+//! `scrub-replay` are `replay`, and `chaos-shrink` is `shrink`.
+//! `scaleout` runs the 4 → 256 server ladder against the paper's
+//! +3.86 GiB/s-per-server claim and writes the `scaleout.json` verdict
+//! artifact.
 //!
 //! Each figure is printed as an aligned table and saved as CSV under the
 //! output directory (default `results/`).  `quick` runs a reduced set
@@ -43,13 +43,14 @@
 //! than 10% below the committed `BENCH_engine.json` — or if a digest or
 //! op count drifted at all (a determinism regression, not a slowdown).
 
-use benchkit::chaos;
+use benchkit::chaos::{self, ChaosVerdict, Engine, Family, Faulted, SwarmReport};
 use benchkit::faulted::{self, FaultedScenario};
 use benchkit::figures::{self, Figure};
-use benchkit::integrity;
-use benchkit::rebalance;
+use benchkit::integrity::{self, Integrity};
+use benchkit::rebalance::Rebalance;
 use benchkit::report;
 use benchkit::scenarios::{analyze_scenario, RunSpec, Scenario};
+use benchkit::slug;
 use cluster::{Calibration, GIB};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -65,14 +66,6 @@ fn emit(figs: Vec<Figure>, out: &Path, all: &mut Vec<Figure>) {
         }
         all.push(f);
     }
-}
-
-/// Artifact-safe file stem for a scenario display name.
-fn slug(name: &str) -> String {
-    name.to_ascii_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect()
 }
 
 /// Causal traces: run every scenario once with span recording on, print
@@ -152,161 +145,24 @@ fn run_faulted_family(cal: &Calibration, out: &Path) {
     }
 }
 
-/// Write a failing case's schedule artifact (and its shrunken minimal
-/// reproducer) under `out/`, returning the archive path.
-fn archive_failure(
-    v: &chaos::ChaosVerdict,
-    spec: &RunSpec,
-    cal: &Calibration,
-    out: &Path,
-    shrinkable: bool,
-) -> PathBuf {
-    let stem = format!("chaos-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-    let path = out.join(format!("{stem}.json"));
-    let json = chaos::schedule_json(&v.scenario, v.seed, spec, &v.plan);
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-        return path;
-    }
-    println!("archived failing schedule: {}", path.display());
-    if !shrinkable {
-        return path;
-    }
-    let scen = FaultedScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == v.scenario)
-        .expect("faulted scenario");
-    // a traced replay of the failing schedule: the critical-path report
-    // and Chrome trace ship as CI artifacts next to the schedule itself
-    let topts = faulted::FaultedOpts {
-        plan: faulted::PlanSource::Fixed(v.plan.clone()),
-        mode: daos_core::DataMode::Full,
-        oracles: false,
-        traced: true,
-        ..faulted::FaultedOpts::default()
-    };
-    let (_, exports) = faulted::run_faulted_with(spec, scen, cal, &topts);
-    if let Some(exports) = exports {
-        if let Err(e) = report::save_trace(&exports, out, &format!("faulted-{}", slug(&v.scenario)))
-        {
-            eprintln!("warning: could not save failing-run trace: {e}");
-        }
-    }
-    let outcome = chaos::shrink_failing(spec, scen, cal, &v.plan);
-    if outcome.reproduced {
-        let min_path = out.join(format!("{stem}.min.json"));
-        let min_json = chaos::schedule_json(&v.scenario, v.seed, spec, &outcome.plan);
-        if std::fs::write(&min_path, &min_json).is_ok() {
-            println!(
-                "shrunk {} -> {} events ({} probes): {}",
-                v.plan.len(),
-                outcome.plan.len(),
-                outcome.probes,
-                min_path.display()
-            );
-            println!(
-                "replay: cargo run --release --bin repro -- chaos-replay --schedule {}",
-                min_path.display()
-            );
-        }
-    } else {
-        eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
-    }
-    path
-}
-
-/// The chaos swarm: N seeds over the faulted family (full oracle suite)
-/// and the engine family (determinism oracle over all 12 generic
-/// scenarios).  Failing schedules are archived and shrunk; any failure
-/// exits non-zero.
-fn run_chaos_swarm_target(cal: &Calibration, out: &Path, seeds: u64) {
-    let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = chaos::default_chaos_spec();
-    println!(
-        "--- faulted family ({} scenarios x {seeds} seeds, full oracles)",
-        FaultedScenario::ALL.len()
-    );
-    let faulted = chaos::run_chaos_swarm(&spec, cal, &seed_block);
-    print!("{}", faulted.render());
-    let mut failed = false;
-    for v in faulted.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        archive_failure(v, &spec, cal, out, true);
-    }
-    let mut espec = RunSpec::new(4, 2, 4);
-    espec.ops_per_proc = 16;
-    println!(
-        "--- engine family ({} scenarios x {seeds} seeds, determinism oracle)",
-        Scenario::ALL.len()
-    );
-    let engine = chaos::run_engine_swarm(&espec, cal, &seed_block);
-    print!("{}", engine.render());
-    for v in engine.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        archive_failure(v, &espec, cal, out, false);
-    }
-    if failed {
-        eprintln!("chaos swarm found invariant violations");
-        std::process::exit(1);
-    }
-}
-
-/// Replay an archived schedule byte-for-byte and report the verdict.
-/// Exits non-zero when the replay still violates an invariant (i.e. the
-/// archived failure reproduces).
-fn run_chaos_replay(cal: &Calibration, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = chaos::replay_archived(&arch, cal).expect("scenario resolves");
-    println!("{}", v.render_line());
-    if !v.passed() {
-        print!("{}", v.oracle.render());
-        std::process::exit(1);
-    }
-}
-
-/// Shrink an archived failing schedule to a minimal reproducer and
-/// write it next to the input as `<stem>.min.json`.
-fn run_chaos_shrink(cal: &Calibration, out: &Path, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = chaos::replay_archived(&arch, cal).expect("scenario resolves");
-    if v.passed() {
-        eprintln!("schedule does not fail any oracle; nothing to shrink");
-        std::process::exit(1);
-    }
-    archive_failure(&v, &arch.spec, cal, out, true);
-}
-
-/// Write a failing rebalance case's schedule (and its shrunken minimal
-/// reproducer) under `out/`.
-fn archive_rebalance_failure(
-    v: &chaos::ChaosVerdict,
+/// Archive a failing case (schedule, traced replay, shrunken minimal
+/// reproducer) under `out/` and report what was written.
+fn archive_and_report<F: Family>(
+    fam: &F,
+    v: &ChaosVerdict,
     spec: &RunSpec,
     cal: &Calibration,
     out: &Path,
 ) {
-    let stem = format!("rebalance-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-    let path = out.join(format!("{stem}.json"));
-    let json = chaos::schedule_json(&v.scenario, v.seed, spec, &v.plan);
-    if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
-        eprintln!("warning: could not save {}: {e}", path.display());
-        return;
-    }
-    println!("archived failing schedule: {}", path.display());
-    let scen = rebalance::RebalanceScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == v.scenario)
-        .expect("rebalance scenario");
-    let outcome = rebalance::shrink_failing_rebalance(spec, scen, cal, &v.plan);
-    if outcome.reproduced {
-        let min_path = out.join(format!("{stem}.min.json"));
-        let min_json = chaos::schedule_json(&v.scenario, v.seed, spec, &outcome.plan);
-        if std::fs::write(&min_path, &min_json).is_ok() {
+    match chaos::archive_case(fam, v, spec, cal, out) {
+        Err(e) => eprintln!("warning: could not archive {}: {e}", v.scenario),
+        Ok((path, outcome)) => {
+            println!("archived failing schedule: {}", path.display());
+            if !outcome.reproduced {
+                eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
+                return;
+            }
+            let min_path = path.with_extension("min.json");
             println!(
                 "shrunk {} -> {} events ({} probes): {}",
                 v.plan.len(),
@@ -315,155 +171,119 @@ fn archive_rebalance_failure(
                 min_path.display()
             );
             println!(
-                "replay: cargo run --release --bin repro -- rebalance-replay --schedule {}",
+                "replay: cargo run --release --bin repro -- replay --schedule {}",
                 min_path.display()
             );
         }
-    } else {
-        eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
     }
 }
 
-/// The rebalance swarm: N seeds of live membership churn (adds, drains,
-/// migration-aimed crashes) over the redundant scenario classes, full
-/// oracle suite.  Failing schedules are archived and shrunk; any
-/// failure exits non-zero.
-fn run_rebalance_swarm_target(cal: &Calibration, out: &Path, seeds: u64) {
-    let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = rebalance::default_rebalance_spec();
+/// Swarm one family at its default sweep point over `seeds`, run
+/// `report` on the result, then archive every failure.  Returns whether
+/// any case failed.
+fn swarm_family<F: Family>(
+    fam: &F,
+    cal: &Calibration,
+    out: &Path,
+    seeds: &[u64],
+    report: impl FnOnce(&SwarmReport),
+) -> bool {
+    let spec = fam.default_spec();
     println!(
-        "--- rebalance family ({} scenarios x {seeds} seeds, full oracles)",
-        rebalance::RebalanceScenario::SWARM.len()
+        "--- {} family ({} scenarios x {} seeds, {})",
+        F::NAME,
+        F::SWARM.len(),
+        seeds.len(),
+        F::JUDGED_BY
     );
-    let report = rebalance::run_rebalance_swarm(&spec, cal, &seed_block);
-    print!("{}", report.render());
-    let mut failed = false;
-    for v in report.failures() {
-        failed = true;
+    let swarm = chaos::swarm(fam, &spec, cal, seeds);
+    print!("{}", swarm.render());
+    report(&swarm);
+    for v in swarm.failures() {
         print!("{}", v.oracle.render());
-        archive_rebalance_failure(v, &spec, cal, out);
+        archive_and_report(fam, v, &spec, cal, out);
     }
-    if failed {
-        eprintln!("rebalance swarm found invariant violations");
-        std::process::exit(1);
+    if !swarm.passed() {
+        eprintln!("{} swarm found invariant violations", F::NAME);
     }
+    !swarm.passed()
 }
 
-/// Replay an archived rebalance schedule byte-for-byte; exits non-zero
-/// when the replay still violates an invariant.
-fn run_rebalance_replay(cal: &Calibration, schedule: &Path) {
-    let input = std::fs::read_to_string(schedule)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
-    let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = rebalance::replay_archived_rebalance(&arch, cal).expect("scenario resolves");
-    println!("{}", v.render_line());
-    if !v.passed() {
-        print!("{}", v.oracle.render());
-        std::process::exit(1);
-    }
-}
-
-/// The integrity swarm: N seeds of bit-rot chaos over the scrub/read
-/// race, rot-under-rebalance, and rot-beyond-redundancy scenarios, the
-/// scenario-aware verdict applied (the planted beyond-redundancy cases
-/// must fail *loudly* to count as green).  Writes the per-case
-/// `integrity.json` artifact; failing schedules are archived, shrunk,
-/// and — for the faulted-backed scenarios — replayed with tracing on so
-/// the critical-path artifacts ship next to the schedule.  Any failure
-/// exits non-zero.
-fn run_scrub_target(cal: &Calibration, out: &Path, seeds: u64) {
-    let seed_block: Vec<u64> = (0..seeds).collect();
-    let spec = integrity::default_integrity_spec();
-    println!(
-        "--- integrity family ({} scenarios x {seeds} seeds, bit-rot chaos)",
-        integrity::IntegrityScenario::ALL.len()
-    );
-    let (report, verdicts) = integrity::run_integrity_swarm(&spec, cal, &seed_block);
-    print!("{}", report.render());
-    for v in &verdicts {
-        println!("{}", v.render_line());
+/// The integrity swarm's extras: per-case checksum counters and the
+/// `integrity.json` artifact.
+fn save_integrity(swarm: &SwarmReport, out: &Path) {
+    for v in &swarm.verdicts {
+        println!("{}", integrity::render_integrity_line(v));
     }
     let path = out.join("integrity.json");
-    let json = integrity::render_integrity_json(&verdicts);
+    let json = integrity::render_integrity_json(&swarm.verdicts);
     if let Err(e) = std::fs::create_dir_all(out).and_then(|_| std::fs::write(&path, &json)) {
         eprintln!("warning: could not save {}: {e}", path.display());
     } else {
         println!("saved {}", path.display());
     }
+}
+
+/// The chaos swarm over each named family; exits non-zero when any case
+/// failed.
+fn run_swarm(families: &[&str], cal: &Calibration, out: &Path, seeds: u64) {
+    if families.is_empty() {
+        eprintln!("swarm needs --family chaos|engine|rebalance|integrity");
+        std::process::exit(2);
+    }
+    let seeds: Vec<u64> = (0..seeds).collect();
     let mut failed = false;
-    for v in report.failures() {
-        failed = true;
-        print!("{}", v.oracle.render());
-        let scen = integrity::IntegrityScenario::ALL
-            .into_iter()
-            .find(|s| s.name() == v.scenario)
-            .expect("integrity scenario");
-        let stem = format!("integrity-{}-seed{:#06x}", slug(&v.scenario), v.seed);
-        let path = out.join(format!("{stem}.json"));
-        let json = chaos::schedule_json(&v.scenario, v.seed, &spec, &v.plan);
-        if std::fs::write(&path, &json).is_ok() {
-            println!("archived failing schedule: {}", path.display());
-        }
-        // traced replay of the failing schedule (the rebalance-backed
-        // scenario has no traced runner; its schedule still archives)
-        if scen != integrity::IntegrityScenario::RotUnderRebalance {
-            let topts = faulted::FaultedOpts {
-                plan: faulted::PlanSource::Fixed(v.plan.clone()),
-                mode: daos_core::DataMode::Full,
-                oracles: false,
-                traced: true,
-                scrub: scen == integrity::IntegrityScenario::ScrubReadRace,
-                tolerate_unavailable: true,
-                ..faulted::FaultedOpts::default()
-            };
-            let (_, exports) =
-                faulted::run_faulted_with(&spec, FaultedScenario::IorEasyRp2, cal, &topts);
-            if let Some(exports) = exports {
-                if let Err(e) =
-                    report::save_trace(&exports, out, &format!("integrity-{}", slug(&v.scenario)))
-                {
-                    eprintln!("warning: could not save failing-run trace: {e}");
-                }
+    for family in families {
+        failed |= match *family {
+            "chaos" => swarm_family(&Faulted, cal, out, &seeds, |_| {}),
+            "engine" => swarm_family(&Engine, cal, out, &seeds, |_| {}),
+            "rebalance" => swarm_family(&Rebalance, cal, out, &seeds, |_| {}),
+            "integrity" => swarm_family(&Integrity, cal, out, &seeds, |s| save_integrity(s, out)),
+            other => {
+                eprintln!("unknown family: {other} (chaos, engine, rebalance or integrity)");
+                std::process::exit(2);
             }
-        }
-        let outcome = integrity::shrink_failing_integrity(&spec, scen, cal, v.seed, &v.plan);
-        if outcome.reproduced {
-            let min_path = out.join(format!("{stem}.min.json"));
-            let min_json = chaos::schedule_json(&v.scenario, v.seed, &spec, &outcome.plan);
-            if std::fs::write(&min_path, &min_json).is_ok() {
-                println!(
-                    "shrunk {} -> {} events ({} probes): {}",
-                    v.plan.len(),
-                    outcome.plan.len(),
-                    outcome.probes,
-                    min_path.display()
-                );
-                println!(
-                    "replay: cargo run --release --bin repro -- scrub-replay --schedule {}",
-                    min_path.display()
-                );
-            }
-        } else {
-            eprintln!("shrinker could not reproduce the failure (flaky oracle?)");
-        }
+        };
     }
     if failed {
-        eprintln!("integrity swarm found invariant violations");
         std::process::exit(1);
     }
 }
 
-/// Replay an archived integrity schedule byte-for-byte; exits non-zero
-/// when the case fails its scenario-aware expectation.
-fn run_scrub_replay(cal: &Calibration, schedule: &Path) {
+/// Replay an archived schedule of any family byte-for-byte and print
+/// the verdict.  Without `shrink`, exits non-zero when the replay fails
+/// its family's ok-predicate; with it, archives and shrinks the failure
+/// and exits non-zero when there is none.
+fn run_replay(cal: &Calibration, out: &Path, schedule: Option<&Path>, shrink: bool) {
+    let schedule = schedule.expect("replay and shrink need --schedule FILE");
     let input = std::fs::read_to_string(schedule)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", schedule.display()));
     let arch = chaos::parse_schedule(&input).expect("schedule artifact parses");
-    let v = integrity::replay_archived_integrity(&arch, cal).expect("scenario resolves");
+    let v = chaos::replay(&arch, cal).expect("scenario resolves");
     println!("{}", v.render_line());
-    if !v.passed() {
-        print!("{}", v.chaos.oracle.render());
+    if v.passed() {
+        if shrink {
+            eprintln!("schedule passes its family's oracles; nothing to shrink");
+            std::process::exit(1);
+        }
+        return;
+    }
+    print!("{}", v.oracle.render());
+    if !shrink {
         std::process::exit(1);
+    }
+    // exactly one family owns the scenario name
+    let spec = &arch.spec;
+    archive_in(&Faulted, &v, spec, cal, out);
+    archive_in(&Engine, &v, spec, cal, out);
+    archive_in(&Rebalance, &v, spec, cal, out);
+    archive_in(&Integrity, &v, spec, cal, out);
+}
+
+/// [`archive_and_report`] if `fam` owns the verdict's scenario.
+fn archive_in<F: Family>(fam: &F, v: &ChaosVerdict, spec: &RunSpec, cal: &Calibration, out: &Path) {
+    if fam.find_scenario(&v.scenario).is_some() {
+        archive_and_report(fam, v, spec, cal, out);
     }
 }
 
@@ -829,6 +649,7 @@ fn main() {
     let mut out = PathBuf::from("results");
     let mut seeds: u64 = 8;
     let mut schedule: Option<PathBuf> = None;
+    let mut families: Vec<String> = Vec::new();
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -846,9 +667,10 @@ fn main() {
             "--schedule" => {
                 schedule = Some(PathBuf::from(it.next().expect("--schedule needs a file")));
             }
+            "--family" => families.push(it.next().expect("--family needs a name")),
             "-h" | "--help" => {
                 println!(
-                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|trace|report|bench-engine|ablations|mdtest|analyze|chaos|chaos-replay|chaos-shrink|rebalance|rebalance-replay|scrub|scrub-replay|scaleout|all|quick]* [--out DIR] [--seeds N] [--schedule FILE]"
+                    "usage: repro [hw|fig1..fig9|fig6-rf2|lustre-ior|ceph-ior|faulted|trace|report|bench-engine|ablations|mdtest|analyze|swarm|replay|shrink|scaleout|all|quick]* [--out DIR] [--seeds N] [--family chaos|engine|rebalance|integrity]* [--schedule FILE]"
                 );
                 return;
             }
@@ -902,34 +724,17 @@ fn main() {
             "lustre-ior" => emit(vec![figures::ior_lustre_table(&cal)], &out, &mut collected),
             "ceph-ior" => emit(vec![figures::ior_ceph_table(&cal)], &out, &mut collected),
             "faulted" => run_faulted_family(&cal, &out),
-            "chaos" => run_chaos_swarm_target(&cal, &out, seeds),
-            "chaos-replay" => run_chaos_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("chaos-replay needs --schedule FILE"),
-            ),
-            "chaos-shrink" => run_chaos_shrink(
-                &cal,
-                &out,
-                schedule
-                    .as_deref()
-                    .expect("chaos-shrink needs --schedule FILE"),
-            ),
-            "rebalance" => run_rebalance_swarm_target(&cal, &out, seeds),
-            "scrub" => run_scrub_target(&cal, &out, seeds),
-            "scrub-replay" => run_scrub_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("scrub-replay needs --schedule FILE"),
-            ),
-            "rebalance-replay" => run_rebalance_replay(
-                &cal,
-                schedule
-                    .as_deref()
-                    .expect("rebalance-replay needs --schedule FILE"),
-            ),
+            "swarm" => {
+                let families: Vec<&str> = families.iter().map(String::as_str).collect();
+                run_swarm(&families, &cal, &out, seeds)
+            }
+            "replay" | "chaos-replay" | "rebalance-replay" | "scrub-replay" => {
+                run_replay(&cal, &out, schedule.as_deref(), false)
+            }
+            "shrink" | "chaos-shrink" => run_replay(&cal, &out, schedule.as_deref(), true),
+            "chaos" => run_swarm(&["chaos", "engine"], &cal, &out, seeds),
+            "rebalance" => run_swarm(&["rebalance"], &cal, &out, seeds),
+            "scrub" => run_swarm(&["integrity"], &cal, &out, seeds),
             "scaleout" => run_scaleout_target(&cal, &out),
             "trace" => run_traces(&cal, &out),
             "report" => run_report_target(&cal, &out),

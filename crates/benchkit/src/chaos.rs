@@ -1,33 +1,43 @@
-//! The chaos swarm: seeded schedule generation × invariant oracles ×
-//! automatic shrinking, glued to the benchmark scenario families.
+//! The chaos harness: seeded schedule generation × invariant oracles ×
+//! automatic shrinking, written once over the [`Family`] trait.
 //!
-//! One **case** is `(scenario, seed)`: the seed samples a random
-//! [`FaultPlan`] from the deployment's fault surface, the scenario runs
-//! under it twice from fresh state, and the verdict combines the
-//! durability/consistency oracles of the run with a determinism check
-//! over the two replay digests.  A **swarm** is a seed block over a
-//! scenario family; any failing case's schedule is serializable to a
-//! self-contained JSON artifact from which [`replay_archived`] reruns
-//! the exact case, and [`shrink_failing`] delta-debugs the schedule down
-//! to a minimal reproducer using deterministic replay as the oracle.
+//! One **case** is `(family, scenario, seed)`: the family turns the seed
+//! into a [`FaultPlan`], the scenario runs under it twice from fresh
+//! state ([`run_case`]), and the verdict folds a determinism check over
+//! the two replay digests into the first run's oracle report, judged by
+//! the family's ok-predicate.  A **swarm** ([`swarm`]) runs every swarm
+//! scenario of a family under every seed of a block, seed-major.  Any
+//! case serializes to a self-contained schedule artifact
+//! ([`schedule_json`]); [`replay`] reruns it by scenario name across
+//! every family, [`shrink`] delta-debugs a schedule down to a minimal
+//! reproducer with single-run probes, and [`archive_case`] writes the
+//! schedule, a traced replay and the shrunken `.min.json` reproducer.
 //!
-//! Two families are covered:
+//! Four families implement the trait:
 //!
-//! * the **faulted family** ([`FaultedScenario::ALL`]): full fault
-//!   surface (server crashes, restarts, slow disks, NIC brownouts,
-//!   delayed completions) with the durability ledger recording every
-//!   acked write in `Full` data mode and every oracle auditing after
-//!   quiescence;
-//! * the **engine family** ([`Scenario::ALL`]): capacity-weather
-//!   schedules (slow disks / NIC brownouts only — safe against drivers
-//!   with no fault-aware world) where the invariant is that the run
-//!   completes and replays bit-identically.
+//! * [`Faulted`] ([`FaultedScenario::ALL`]): full fault surface (server
+//!   crashes, restarts, slow disks, NIC brownouts, delayed completions,
+//!   bit rot) with the durability ledger recording every acked write in
+//!   `Full` data mode and every oracle auditing after quiescence;
+//! * [`Engine`] ([`Scenario::ALL`]): capacity-weather schedules (slow
+//!   disks / NIC brownouts only — safe against drivers with no
+//!   fault-aware world) where the invariant is that the run completes
+//!   and replays bit-identically;
+//! * [`crate::rebalance::Rebalance`]: live membership churn;
+//! * [`crate::integrity::Integrity`]: bit-rot races against the
+//!   checksum machinery, where the planted rot-beyond-redundancy case
+//!   must fail loudly.
 
-use crate::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
+use crate::faulted::{run_faulted_with, FaultedOpts, FaultedReport, FaultedScenario};
+use crate::integrity::Integrity;
+use crate::rebalance::Rebalance;
 use crate::scenarios::{run_scenario_chaos, RunSpec, Scenario};
+use crate::tracing::SpanExports;
 use cluster::{Calibration, ClusterSpec, Topology};
-use daos_core::{DataMode, OracleKind, OracleReport, TargetId, Violation};
-use simkit::{generate, shrink, ChaosConfig, ChaosSpace, FaultPlan, Scheduler, ShrinkOutcome};
+use daos_core::{CsumStats, OracleKind, OracleReport, ScrubReport, TargetId, Violation};
+use simkit::{generate, ChaosConfig, ChaosSpace, FaultPlan, Scheduler, ShrinkOutcome};
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// The sweep point the chaos swarm runs at: the faulted family's
 /// deployment shape with a reduced op count and transfer size, because
@@ -43,14 +53,7 @@ pub fn default_chaos_spec() -> RunSpec {
 /// whole-server crash groups, every NVMe read/write device, both NIC
 /// directions, and per-server delayed-completion payloads.
 pub fn chaos_space(spec: &RunSpec, cal: &Calibration) -> ChaosSpace {
-    // A scratch scheduler: resource ids depend only on registration
-    // order, so the ids enumerated here match the real run's topology
-    // build exactly.
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let mut space = engine_space(&topo);
+    let mut space = engine_space(&scratch_topology(spec.servers, spec, cal));
     space.crash_groups = (0..spec.servers as u16)
         .map(|server| {
             (0..cal.targets_per_server as u16)
@@ -65,6 +68,16 @@ pub fn chaos_space(spec: &RunSpec, cal: &Calibration) -> ChaosSpace {
     // repair (the sampler shares the crash budget to guarantee it)
     space.rot_shards = 3;
     space
+}
+
+/// The topology of `servers` servers and the spec's client nodes, built
+/// on a scratch scheduler: resource ids depend only on registration
+/// order, so the ids a fault surface enumerates from it match the real
+/// run's build exactly.
+pub(crate) fn scratch_topology(servers: usize, spec: &RunSpec, cal: &Calibration) -> Topology {
+    ClusterSpec::new(servers, spec.client_nodes)
+        .with_cal(cal.clone())
+        .build(&mut Scheduler::new())
 }
 
 /// The engine-level slice of the fault surface: disk and NIC resources
@@ -82,6 +95,186 @@ pub fn engine_space(topo: &Topology) -> ChaosSpace {
     space
 }
 
+/// What one planned run of a case observed.
+#[derive(Debug, Clone, Default)]
+pub struct CaseRun {
+    /// Post-quiescence oracle audit (durability, reconstruction,
+    /// redundancy, interface consistency).
+    pub oracle: OracleReport,
+    /// Checksum activity at quiescence, after any oracle read-back.
+    pub csum: CsumStats,
+    /// Scrubber progress, when the scenario scrubs.
+    pub scrub: Option<ScrubReport>,
+    /// Replay digest over completions and fired faults.
+    pub digest: u64,
+}
+
+impl From<FaultedReport> for CaseRun {
+    fn from(r: FaultedReport) -> Self {
+        CaseRun {
+            oracle: r.oracles.unwrap_or_default(),
+            csum: r.csum,
+            scrub: r.scrub,
+            digest: r.digest,
+        }
+    }
+}
+
+/// A scenario family the chaos harness swarms, shrinks, archives and
+/// replays.  Scenario display names are unique across families, so an
+/// archived schedule names its family implicitly.
+pub trait Family {
+    /// The family's scenario type.
+    type Scenario: Copy + 'static;
+    /// Family name, as in the swarm header `--- <NAME> family (...)` and
+    /// traced-replay artifacts `<NAME>-<scenario>.trace.json`.
+    const NAME: &'static str;
+    /// Schedule artifact prefix: `<PREFIX>-<scenario>-seed<N>.json`.
+    const PREFIX: &'static str;
+    /// What the swarm header says the cases are judged by.
+    const JUDGED_BY: &'static str;
+    /// Every scenario an archived schedule may name.
+    const SCENARIOS: &'static [Self::Scenario];
+    /// The scenarios a swarm runs.
+    const SWARM: &'static [Self::Scenario] = Self::SCENARIOS;
+
+    /// Display name.
+    fn scenario_name(&self, scen: Self::Scenario) -> &'static str;
+
+    /// The sweep point a swarm runs at.
+    fn default_spec(&self) -> RunSpec;
+
+    /// The schedule `seed` samples, event times relative to the
+    /// write→read phase boundary.
+    fn seed_plan(
+        &self,
+        spec: &RunSpec,
+        scen: Self::Scenario,
+        cal: &Calibration,
+        seed: u64,
+    ) -> FaultPlan;
+
+    /// One run of `scen` under `plan`, from fresh state.  With `traced`,
+    /// also its span exports, where the family has a traced runner.
+    fn run_plan(
+        &self,
+        spec: &RunSpec,
+        scen: Self::Scenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> (CaseRun, Option<SpanExports>);
+
+    /// Whether a case passes: by default, every oracle green.
+    fn case_ok(&self, _scen: Self::Scenario, run: &CaseRun) -> bool {
+        run.oracle.ok()
+    }
+
+    /// What shrinking preserves: by default, a failed case.
+    fn shrink_signature(&self, scen: Self::Scenario, run: &CaseRun) -> bool {
+        !self.case_ok(scen, run)
+    }
+
+    /// Resolve a display name.
+    fn find_scenario(&self, name: &str) -> Option<Self::Scenario> {
+        Self::SCENARIOS
+            .iter()
+            .copied()
+            .find(|&s| self.scenario_name(s) == name)
+    }
+}
+
+/// The faulted family: [`chaos_space`] schedules over
+/// [`FaultedScenario::ALL`], full oracle suite.
+pub struct Faulted;
+
+impl Family for Faulted {
+    type Scenario = FaultedScenario;
+    const NAME: &'static str = "faulted";
+    const PREFIX: &'static str = "chaos";
+    const JUDGED_BY: &'static str = "full oracles";
+    const SCENARIOS: &'static [FaultedScenario] = &FaultedScenario::ALL;
+
+    fn scenario_name(&self, scen: FaultedScenario) -> &'static str {
+        scen.name()
+    }
+
+    fn default_spec(&self) -> RunSpec {
+        default_chaos_spec()
+    }
+
+    fn seed_plan(
+        &self,
+        spec: &RunSpec,
+        _: FaultedScenario,
+        cal: &Calibration,
+        seed: u64,
+    ) -> FaultPlan {
+        generate(&chaos_space(spec, cal), &ChaosConfig::default(), seed)
+    }
+
+    fn run_plan(
+        &self,
+        spec: &RunSpec,
+        scen: FaultedScenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> (CaseRun, Option<SpanExports>) {
+        let opts = FaultedOpts {
+            traced,
+            ..FaultedOpts::audited(plan)
+        };
+        let (report, exports) = run_faulted_with(spec, scen, cal, &opts);
+        (report.into(), exports)
+    }
+}
+
+/// The engine family: capacity weather from [`engine_space`] over every
+/// generic scenario in [`Scenario::ALL`], determinism the invariant.
+pub struct Engine;
+
+impl Family for Engine {
+    type Scenario = Scenario;
+    const NAME: &'static str = "engine";
+    const PREFIX: &'static str = "chaos";
+    const JUDGED_BY: &'static str = "determinism oracle";
+    const SCENARIOS: &'static [Scenario] = &Scenario::ALL;
+
+    fn scenario_name(&self, scen: Scenario) -> &'static str {
+        scen.name()
+    }
+
+    fn default_spec(&self) -> RunSpec {
+        let mut spec = RunSpec::new(4, 2, 4);
+        spec.ops_per_proc = 16;
+        spec
+    }
+
+    fn seed_plan(&self, spec: &RunSpec, _: Scenario, cal: &Calibration, seed: u64) -> FaultPlan {
+        let topo = scratch_topology(spec.servers, spec, cal);
+        generate(&engine_space(&topo), &ChaosConfig::default(), seed)
+    }
+
+    /// Untraced: the generic scenario drivers have no traced runner
+    /// under a fault plan.
+    fn run_plan(
+        &self,
+        spec: &RunSpec,
+        scen: Scenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        _: bool,
+    ) -> (CaseRun, Option<SpanExports>) {
+        let mut run = CaseRun {
+            digest: run_scenario_chaos(spec, scen, cal, plan).1,
+            ..CaseRun::default()
+        };
+        run.oracle.checked_groups = 1;
+        (run, None)
+    }
+}
+
 /// One chaos case verdict.
 #[derive(Debug, Clone)]
 pub struct ChaosVerdict {
@@ -89,122 +282,84 @@ pub struct ChaosVerdict {
     pub scenario: String,
     /// The generating seed.
     pub seed: u64,
-    /// The sampled schedule (phase-relative event times).
+    /// The schedule (phase-relative event times).
     pub plan: FaultPlan,
-    /// Merged oracle report (durability, reconstruction, redundancy,
-    /// interface consistency, determinism).
+    /// The first run's oracle report with the determinism check folded
+    /// in.
     pub oracle: OracleReport,
+    /// Checksum activity of the first run.
+    pub csum: CsumStats,
+    /// Scrubber progress of the first run, when the scenario scrubs.
+    pub scrub: Option<ScrubReport>,
     /// Replay digest of the first run.
     pub digest: u64,
+    /// The family's ok-predicate over the above.
+    ok: bool,
 }
 
 impl ChaosVerdict {
-    /// Every invariant green.
+    /// The case passed its family's ok-predicate.
     pub fn passed(&self) -> bool {
-        self.oracle.ok()
+        self.ok
     }
 
     /// One status line: `seed 0x0017 IOR-easy/RP_2+crash 3 faults ok`.
     pub fn render_line(&self) -> String {
+        self.status_line(self.ok)
+    }
+
+    /// The status line with `ok` as its verdict.  A failed case whose
+    /// oracle stayed green (an unmet family expectation) counts as one
+    /// violation.
+    pub(crate) fn status_line(&self, ok: bool) -> String {
+        let violations = self.oracle.violations.len().max(1);
         format!(
             "seed {:#06x}  {:<24} {} faults  digest {:#018x}  {}",
             self.seed,
             self.scenario,
             self.plan.len(),
             self.digest,
-            if self.passed() {
+            if ok {
                 "ok".to_string()
             } else {
-                format!("FAILED ({} violations)", self.oracle.violations.len())
+                format!("FAILED ({violations} violations)")
             }
         )
     }
 }
 
-pub(crate) fn determinism_violation(scenario: &str, a: u64, b: u64) -> Violation {
-    Violation {
-        oracle: OracleKind::Determinism,
-        subject: scenario.to_string(),
-        detail: format!("replay digests diverge: {a:#018x} vs {b:#018x}"),
-    }
-}
-
-/// Run one faulted-family chaos case: generate the seed's schedule, run
-/// it twice from fresh state with the ledger recording and all oracles
-/// auditing, and fold a determinism check over the two digests.
-pub fn run_chaos_case(
+/// Run one case under `plan` twice from fresh state, fold a determinism
+/// check over the two digests, and judge it by the family's
+/// ok-predicate.
+pub fn run_case<F: Family>(
+    fam: &F,
     spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> ChaosVerdict {
-    let space = chaos_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
-    run_planned_case(spec, scen, cal, seed, plan)
-}
-
-/// Run a faulted-family case under an explicit schedule (the replay and
-/// shrink entry point — [`run_chaos_case`] is this plus generation).
-pub fn run_planned_case(
-    spec: &RunSpec,
-    scen: FaultedScenario,
+    scen: F::Scenario,
     cal: &Calibration,
     seed: u64,
     plan: FaultPlan,
 ) -> ChaosVerdict {
-    let opts = FaultedOpts {
-        plan: PlanSource::Fixed(plan.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..FaultedOpts::default()
-    };
-    let (first, _) = run_faulted_with(spec, scen, cal, &opts);
-    let (second, _) = run_faulted_with(spec, scen, cal, &opts);
-    let mut oracle = first.oracles.clone().unwrap_or_default();
-    if first.digest != second.digest {
-        oracle.violations.push(determinism_violation(
-            scen.name(),
-            first.digest,
-            second.digest,
-        ));
+    let (mut run, _) = fam.run_plan(spec, scen, cal, &plan, false);
+    let again = fam.run_plan(spec, scen, cal, &plan, false).0.digest;
+    if run.digest != again {
+        run.oracle.violations.push(Violation {
+            oracle: OracleKind::Determinism,
+            subject: fam.scenario_name(scen).to_string(),
+            detail: format!(
+                "replay digests diverge: {:#018x} vs {again:#018x}",
+                run.digest
+            ),
+        });
     }
     ChaosVerdict {
-        scenario: scen.name().to_string(),
+        scenario: fam.scenario_name(scen).to_string(),
         seed,
         plan,
-        oracle,
-        digest: first.digest,
-    }
-}
-
-/// Run one engine-family chaos case: capacity-weather schedule over a
-/// generic scenario, determinism as the invariant.
-pub fn run_engine_case(
-    spec: &RunSpec,
-    scen: Scenario,
-    cal: &Calibration,
-    seed: u64,
-) -> ChaosVerdict {
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let plan = generate(&engine_space(&topo), &ChaosConfig::default(), seed);
-    let (_, a) = run_scenario_chaos(spec, scen, cal, &plan);
-    let (_, b) = run_scenario_chaos(spec, scen, cal, &plan);
-    let mut oracle = OracleReport::default();
-    oracle.checked_groups += 1;
-    if a != b {
-        oracle
-            .violations
-            .push(determinism_violation(scen.name(), a, b));
-    }
-    ChaosVerdict {
-        scenario: scen.name().to_string(),
-        seed,
-        plan,
-        oracle,
-        digest: a,
+        ok: fam.case_ok(scen, &run),
+        oracle: run.oracle,
+        csum: run.csum,
+        scrub: run.scrub,
+        digest: run.digest,
     }
 }
 
@@ -233,65 +388,81 @@ impl SwarmReport {
             out.push_str(&v.render_line());
             out.push('\n');
         }
-        let failed = self.verdicts.len() - self.verdicts.iter().filter(|v| v.passed()).count();
         out.push_str(&format!(
             "swarm: {} cases, {} failed\n",
             self.verdicts.len(),
-            failed
+            self.failures().len()
         ));
         out
     }
 }
 
-/// Swarm the faulted family: every scenario in [`FaultedScenario::ALL`]
-/// under every seed in `seeds`, full oracle suite.
-pub fn run_chaos_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
+/// Swarm a family: every swarm scenario under every seed in `seeds`,
+/// seed-major.
+pub fn swarm<F: Family>(fam: &F, spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
     let mut report = SwarmReport::default();
     for &seed in seeds {
-        for scen in FaultedScenario::ALL {
-            report.verdicts.push(run_chaos_case(spec, scen, cal, seed));
+        for &scen in F::SWARM {
+            let plan = fam.seed_plan(spec, scen, cal, seed);
+            report
+                .verdicts
+                .push(run_case(fam, spec, scen, cal, seed, plan));
         }
     }
     report
 }
 
-/// Swarm the engine family: every scenario in [`Scenario::ALL`] under
-/// every seed in `seeds`, determinism oracle.
-pub fn run_engine_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
-    let mut report = SwarmReport::default();
-    for &seed in seeds {
-        for &scen in Scenario::ALL.iter() {
-            report.verdicts.push(run_engine_case(spec, scen, cal, seed));
-        }
-    }
-    report
-}
-
-/// Shrink a failing faulted-family schedule to a minimal reproducer.
-/// The oracle is deterministic replay: a candidate subset "fails" when
-/// any invariant oracle reports a violation under it.  Probes run
-/// single-sided (no second determinism run) — the shrunken plan's final
-/// verdict should be re-established with [`run_planned_case`].
-pub fn shrink_failing(
+/// Shrink a schedule to a minimal reproducer of the family's failure
+/// signature.  Probes run once (no determinism rerun); re-establish the
+/// shrunken plan's verdict with [`run_case`].
+pub fn shrink<F: Family>(
+    fam: &F,
     spec: &RunSpec,
-    scen: FaultedScenario,
+    scen: F::Scenario,
     cal: &Calibration,
     plan: &FaultPlan,
 ) -> ShrinkOutcome {
-    let opts_for = |p: &FaultPlan| FaultedOpts {
-        plan: PlanSource::Fixed(p.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..FaultedOpts::default()
-    };
-    shrink(plan, |candidate| {
-        let (report, _) = run_faulted_with(spec, scen, cal, &opts_for(candidate));
-        !report
-            .oracles
-            .as_ref()
-            .map(OracleReport::ok)
-            .unwrap_or(true)
+    simkit::shrink(plan, |candidate| {
+        fam.shrink_signature(scen, &fam.run_plan(spec, scen, cal, candidate, false).0)
     })
+}
+
+/// Artifact-safe file stem for a scenario display name.
+pub fn slug(name: &str) -> String {
+    name.to_ascii_lowercase()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+        .collect()
+}
+
+/// Archive a case under `out`: its schedule as
+/// `<PREFIX>-<scenario>-seed<N>.json`, a traced replay where the family
+/// has one, and — when shrinking reproduces the failure signature — the
+/// minimal reproducer next to the schedule as `.min.json`.  Returns the
+/// schedule path and the shrink outcome.
+pub fn archive_case<F: Family>(
+    fam: &F,
+    v: &ChaosVerdict,
+    spec: &RunSpec,
+    cal: &Calibration,
+    out: &Path,
+) -> io::Result<(PathBuf, ShrinkOutcome)> {
+    let scen = fam.find_scenario(&v.scenario).ok_or_else(|| {
+        io::Error::other(format!("{:?} is not a {} scenario", v.scenario, F::NAME))
+    })?;
+    let stem = slug(&v.scenario);
+    let path = out.join(format!("{}-{stem}-seed{:#06x}.json", F::PREFIX, v.seed));
+    std::fs::create_dir_all(out)?;
+    std::fs::write(&path, schedule_json(&v.scenario, v.seed, spec, &v.plan))?;
+    if let (_, Some(exports)) = fam.run_plan(spec, scen, cal, &v.plan, true) {
+        crate::report::save_trace(&exports, out, &format!("{}-{stem}", F::NAME))?;
+    }
+    let outcome = shrink(fam, spec, scen, cal, &v.plan);
+    if outcome.reproduced {
+        let min = schedule_json(&v.scenario, v.seed, spec, &outcome.plan);
+        std::fs::write(path.with_extension("min.json"), min)?;
+    }
+    Ok((path, outcome))
 }
 
 /// Serialize a case to a self-contained schedule artifact: scenario,
@@ -303,7 +474,7 @@ pub fn schedule_json(scenario: &str, seed: u64, spec: &RunSpec, plan: &FaultPlan
             "{{\"scenario\": \"{}\", \"seed\": {}, ",
             "\"spec\": {{\"servers\": {}, \"client_nodes\": {}, \"ppn\": {}, ",
             "\"ops_per_proc\": {}, \"transfer\": {}, \"queue_depth\": {}, \"seed\": {}}}, ",
-            "\"replay\": \"cargo run --release --bin repro -- chaos-replay --schedule <this file>\", ",
+            "\"replay\": \"repro replay --schedule <this file>\", ",
             "\"plan\": {}}}"
         ),
         scenario,
@@ -322,8 +493,8 @@ pub fn schedule_json(scenario: &str, seed: u64, spec: &RunSpec, plan: &FaultPlan
 /// A parsed schedule artifact.
 #[derive(Debug, Clone)]
 pub struct ArchivedSchedule {
-    /// Scenario display name (resolved against [`FaultedScenario::ALL`]
-    /// by [`replay_archived`]).
+    /// Scenario display name (resolved across every family by
+    /// [`replay`]).
     pub scenario: String,
     /// The generating seed (provenance; the plan is authoritative).
     pub seed: u64,
@@ -370,19 +541,29 @@ pub fn parse_schedule(input: &str) -> Result<ArchivedSchedule, String> {
 }
 
 /// Rerun an archived schedule byte-for-byte: resolve the scenario by
-/// name and replay the stored plan at the stored deployment shape.
-pub fn replay_archived(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict, String> {
-    let scen = FaultedScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == arch.scenario)
-        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))?;
-    Ok(run_planned_case(
-        &arch.spec,
-        scen,
-        cal,
-        arch.seed,
-        arch.plan.clone(),
-    ))
+/// name across every family and run the stored plan as a case at the
+/// stored deployment shape.
+pub fn replay(arch: &ArchivedSchedule, cal: &Calibration) -> Result<ChaosVerdict, String> {
+    fn case<F: Family>(
+        fam: &F,
+        arch: &ArchivedSchedule,
+        cal: &Calibration,
+    ) -> Option<ChaosVerdict> {
+        let scen = fam.find_scenario(&arch.scenario)?;
+        Some(run_case(
+            fam,
+            &arch.spec,
+            scen,
+            cal,
+            arch.seed,
+            arch.plan.clone(),
+        ))
+    }
+    case(&Faulted, arch, cal)
+        .or_else(|| case(&Engine, arch, cal))
+        .or_else(|| case(&Rebalance, arch, cal))
+        .or_else(|| case(&Integrity, arch, cal))
+        .ok_or_else(|| format!("unknown scenario {:?}", arch.scenario))
 }
 
 #[cfg(test)]
@@ -395,17 +576,28 @@ mod tests {
         spec
     }
 
+    fn seeded<F: Family>(fam: &F, spec: &RunSpec, scen: F::Scenario, seed: u64) -> ChaosVerdict {
+        let cal = Calibration::default();
+        run_case(
+            fam,
+            spec,
+            scen,
+            &cal,
+            seed,
+            fam.seed_plan(spec, scen, &cal, seed),
+        )
+    }
+
     #[test]
     fn chaos_case_is_deterministic_and_green() {
         let spec = tiny_spec();
-        let cal = Calibration::default();
-        let a = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let a = seeded(&Faulted, &spec, FaultedScenario::IorEasyRp2, 7);
         assert!(a.passed(), "seed 7 must be green:\n{}", a.oracle.render());
-        let b = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 7);
+        let b = seeded(&Faulted, &spec, FaultedScenario::IorEasyRp2, 7);
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
         // different seed, different schedule
-        let c = run_chaos_case(&spec, FaultedScenario::IorEasyRp2, &cal, 8);
+        let c = seeded(&Faulted, &spec, FaultedScenario::IorEasyRp2, 8);
         assert_ne!(a.plan.to_json(), c.plan.to_json());
     }
 
@@ -413,12 +605,12 @@ mod tests {
     fn schedule_artifact_round_trips_and_replays_identically() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let v = run_chaos_case(&spec, FaultedScenario::IorHardEc2p1, &cal, 3);
+        let v = seeded(&Faulted, &spec, FaultedScenario::IorHardEc2p1, 3);
         let json = schedule_json(&v.scenario, v.seed, &spec, &v.plan);
         let arch = parse_schedule(&json).expect("parses");
         assert_eq!(arch.scenario, v.scenario);
         assert_eq!(arch.plan.to_json(), v.plan.to_json());
-        let replayed = replay_archived(&arch, &cal).expect("replays");
+        let replayed = replay(&arch, &cal).expect("replays");
         assert_eq!(replayed.digest, v.digest, "archived schedule pins the run");
     }
 
@@ -426,8 +618,7 @@ mod tests {
     fn engine_case_covers_generic_scenarios() {
         let mut spec = RunSpec::new(2, 1, 2);
         spec.ops_per_proc = 8;
-        let cal = Calibration::default();
-        let v = run_engine_case(&spec, Scenario::IorDaos, &cal, 11);
+        let v = seeded(&Engine, &spec, Scenario::IorDaos, 11);
         assert!(v.passed(), "{}", v.oracle.render());
         assert!(!v.plan.is_empty(), "engine space must sample something");
     }

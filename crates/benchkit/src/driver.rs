@@ -4,7 +4,6 @@
 //! end of the last one.
 
 use cluster::bench::ProcWorkload;
-use cluster::units;
 use simkit::{run, OpId, Scheduler, SimTime, World};
 
 /// Result of one measured phase.
@@ -48,15 +47,76 @@ impl World for SetupWorld {
     }
 }
 
-struct OpsWorld<'a, W: ProcWorkload> {
-    wl: &'a mut W,
+/// The untimed setup barrier: every process runs its `setup`, and the
+/// measured phase starts only once all of them completed.
+pub(crate) fn run_setup<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) {
+    let procs = wl.procs();
+    let mut setup = SetupWorld { remaining: procs };
+    for p in 0..procs {
+        let step = wl.setup(p);
+        sched.submit(step, OpId(p as u64));
+    }
+    run(sched, &mut setup);
+    assert_eq!(setup.remaining, 0, "setup completions");
+}
+
+/// The op chaining of a measured phase: each completion issues the
+/// process's next op until it has issued `ops_per_proc`.  Fault-aware
+/// phase worlds embed it and forward every process completion here.
+pub(crate) struct OpsWorld<'a, W: ProcWorkload> {
+    pub(crate) wl: &'a mut W,
     /// Next op index to issue, per process.
     next_idx: Vec<usize>,
     /// Ops still in flight, per process.
     inflight: Vec<usize>,
     ops_per_proc: usize,
+    /// Processes that have not drained yet.
     remaining: usize,
+    t0: SimTime,
     last_end: SimTime,
+}
+
+impl<'a, W: ProcWorkload> OpsWorld<'a, W> {
+    /// Start the measured phase at the current sim time: every process
+    /// issues its first queue-depth ops after its start stagger.
+    pub(crate) fn start(sched: &mut Scheduler, wl: &'a mut W) -> Self {
+        let procs = wl.procs();
+        let ops_per_proc = wl.ops_per_proc();
+        let initial = wl.queue_depth().max(1).min(ops_per_proc);
+        for p in 0..procs {
+            // Real parallel jobs leave the barrier with jittered start
+            // times (MPI barrier exit, first-RPC setup).  A small
+            // deterministic stagger reproduces that decorrelation;
+            // without it, identical queue-depth-1 processes march in
+            // lock-step waves that leave devices idle between waves.
+            let stagger = start_stagger_ns(p);
+            for i in 0..initial {
+                let step = wl.op(p, i);
+                sched.submit_after(stagger, step, OpId(p as u64));
+            }
+        }
+        OpsWorld {
+            wl,
+            next_idx: vec![initial; procs],
+            inflight: vec![initial; procs],
+            ops_per_proc,
+            remaining: if ops_per_proc > 0 { procs } else { 0 },
+            t0: sched.now(),
+            last_end: sched.now(),
+        }
+    }
+
+    /// The measured window once every process has drained: from the
+    /// phase start to the last op completion.
+    pub(crate) fn finish(&self) -> PhaseResult {
+        assert_eq!(self.remaining, 0, "all processes finished");
+        let ops = self.wl.procs() * self.ops_per_proc;
+        PhaseResult {
+            bytes: ops as f64 * self.wl.bytes_per_op(),
+            seconds: self.last_end.secs_since(self.t0),
+            ops,
+        }
+    }
 }
 
 impl<W: ProcWorkload> World for OpsWorld<'_, W> {
@@ -87,45 +147,13 @@ impl<W: ProcWorkload> World for OpsWorld<'_, W> {
 pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseResult {
     let procs = wl.procs();
     let ops_per_proc = wl.ops_per_proc();
-
-    // -- setup barrier (untimed) --
-    let mut setup = SetupWorld { remaining: procs };
-    for p in 0..procs {
-        let step = wl.setup(p);
-        sched.submit(step, OpId(p as u64));
-    }
-    run(sched, &mut setup);
-    assert_eq!(setup.remaining, 0, "setup completions");
-
-    // -- measured phase --
+    run_setup(sched, wl);
     let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = OpsWorld {
-        wl,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-    };
+    let mut world = OpsWorld::start(sched, wl);
     if ops_per_proc > 0 {
-        for p in 0..procs {
-            // Real parallel jobs leave the barrier with jittered start
-            // times (MPI barrier exit, first-RPC setup).  A small
-            // deterministic stagger reproduces that decorrelation;
-            // without it, identical queue-depth-1 processes march in
-            // lock-step waves that leave devices idle between waves.
-            let stagger = start_stagger_ns(p);
-            for i in 0..initial {
-                let step = world.wl.op(p, i);
-                sched.submit_after(stagger, step, OpId(p as u64));
-            }
-        }
         run(sched, &mut world);
-        assert_eq!(world.remaining, 0, "all processes finished");
     }
-    let mut t_end = world.last_end;
+    let mut result = world.finish();
 
     // -- finalize --
     let finalize_bytes = wl.finalize_bytes() * procs as f64;
@@ -138,24 +166,22 @@ pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseRes
     run(sched, &mut fin);
     if in_window || finalize_bytes > 0.0 {
         // buffered writers flush real data during finalize; count it
-        t_end = sched.now();
+        result.seconds = sched.now().secs_since(t0);
     }
+    result.bytes += finalize_bytes;
 
     // simlint::allow(env-dependent-sim) — opt-in diagnostics printout; no effect on results
     if std::env::var_os("SIMKIT_DIAG").is_some() {
         eprintln!(
-            "[diag] recomputes={} flow_visits={} fill_iters={} settle={:.1}s rebuild={:.1}s solve={:.1}s ({} procs x {} ops)",
-            sched.stat_recomputes, sched.stat_flow_visits, sched.stat_fill_iters,
-            units::ns_to_secs(sched.stat_ns[0]), units::ns_to_secs(sched.stat_ns[1]), units::ns_to_secs(sched.stat_ns[2]),
-            procs, ops_per_proc
+            "[diag] recomputes={} flow_visits={} fill_iters={} ({} procs x {} ops)",
+            sched.stat_recomputes,
+            sched.stat_flow_visits,
+            sched.stat_fill_iters,
+            procs,
+            ops_per_proc
         );
     }
-    let total_ops = procs * ops_per_proc;
-    PhaseResult {
-        bytes: total_ops as f64 * wl.bytes_per_op() + finalize_bytes,
-        seconds: t_end.secs_since(t0),
-        ops: total_ops,
-    }
+    result
 }
 
 /// Deterministic per-process start jitter, uniform in [0, 2 ms).

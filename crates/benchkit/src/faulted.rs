@@ -14,7 +14,12 @@
 //! * [`FaultAction::DelayedCompletion`] → [`DaosSystem::set_extra_delay`]
 //!   keyed by server rank;
 //! * [`FaultAction::SlowDisk`] / [`FaultAction::NicBrownout`] are applied
-//!   by the engine itself as capacity scaling.
+//!   by the engine itself as capacity scaling;
+//! * [`FaultAction::BitRot`] → [`DaosSystem::apply_bit_rot`], silently;
+//! * [`FaultAction::AddServer`] / [`FaultAction::DrainServer`] →
+//!   membership changes and throttled migration waves.  Only the
+//!   rebalance family ([`crate::rebalance`]) samples them; it drives its
+//!   churn phase through the same world.
 //!
 //! The client side absorbs the injected `TargetDown` detections through
 //! the shared [`RetryPolicy`] machinery configured on the *topmost*
@@ -26,13 +31,13 @@
 //! fault) — must be bit-identical across replays; [`replay_faulted`]
 //! checks exactly that.
 
-use crate::driver::{run_phase, start_stagger_ns, PhaseResult};
+use crate::driver::{run_phase, run_setup, OpsWorld, PhaseResult};
 use crate::scenarios::{exec, make_sched, RunSpec};
 use cluster::bench::{Phase, ProcWorkload};
 use cluster::{Calibration, ClusterSpec, Topology};
 use daos_core::{
-    ContainerProps, DaosSystem, DataMode, ObjectClass, OracleReport, RebuildReport, RetryPolicy,
-    RetryStats, TargetId,
+    ContainerId, ContainerProps, DaosSystem, DataMode, ObjectClass, OracleReport, RebuildReport,
+    RetryPolicy, RetryStats, TargetId,
 };
 use field_io::FieldIo;
 use ior_bench::{AccessOrder, Ior, IorBackend, IorConfig};
@@ -49,11 +54,6 @@ const MS: u64 = 1_000_000;
 /// client node fails with `TargetDown` and its retry takes the
 /// fail-over/reconstruction path.
 const REBUILD_DETECT_NS: u64 = 2_000_000;
-
-/// Marker op ids for the rebuild chain, far above any process index.
-const OP_REBUILD_TRIGGER: OpId = OpId(1 << 40);
-const OP_REBUILD_DONE: OpId = OpId((1 << 40) + 1);
-const OP_SCRUB_WAVE: OpId = OpId((1 << 40) + 2);
 
 /// Scan units (array chunks / KV values) verified per scrubber wave:
 /// the throttle that keeps background scanning from starving foreground
@@ -161,6 +161,19 @@ impl Default for FaultedOpts {
     }
 }
 
+impl FaultedOpts {
+    /// A chaos case's run: the phase-relative `plan`, `Full` data and
+    /// every oracle auditing.
+    pub(crate) fn audited(plan: &FaultPlan) -> Self {
+        FaultedOpts {
+            plan: PlanSource::Fixed(plan.clone()),
+            mode: DataMode::Full,
+            oracles: true,
+            ..FaultedOpts::default()
+        }
+    }
+}
+
 /// Result of one faulted run.
 #[derive(Debug, Clone)]
 pub struct FaultedReport {
@@ -226,78 +239,164 @@ pub fn replay_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) 
     }
 }
 
-/// What the fault-aware driver observed during the faulted phase.
-struct FaultOutcome {
-    rebuild: Option<RebuildReport>,
-    crash_at: Option<SimTime>,
-    restored_at: Option<SimTime>,
+/// Marker op ids of the phase world's background chains, far above any
+/// process index.  Each family keeps its own block: op ids fold into
+/// the replay digest, so a shared block would change every digest.
+pub(crate) struct Markers {
+    rebuild_trigger: OpId,
+    rebuild_done: OpId,
+    scrub_wave: OpId,
+    migration_wave: OpId,
+    retire_repair: OpId,
 }
 
-/// The fault-aware phase world: the op-chaining logic of the standard
-/// driver plus the mapping from fired fault events onto DAOS state and
-/// the crash → detect → rebuild → restored chain.
-struct FaultedWorld<'a, W: ProcWorkload> {
-    wl: &'a mut W,
+/// The faulted family's `1 << 40` block.  Its fault surface has no
+/// membership events, so the migration markers are never submitted.
+pub(crate) const FAULTED_MARKERS: Markers = Markers {
+    rebuild_trigger: OpId(1 << 40),
+    rebuild_done: OpId((1 << 40) + 1),
+    scrub_wave: OpId((1 << 40) + 2),
+    migration_wave: OpId((1 << 40) + 3),
+    retire_repair: OpId((1 << 40) + 4),
+};
+
+/// The rebalance family's `1 << 41` block.  Rebalance runs never scrub,
+/// so the scrub marker is never submitted.
+pub(crate) const REBALANCE_MARKERS: Markers = Markers {
+    migration_wave: OpId(1 << 41),
+    rebuild_trigger: OpId((1 << 41) + 1),
+    rebuild_done: OpId((1 << 41) + 2),
+    retire_repair: OpId((1 << 41) + 3),
+    scrub_wave: OpId((1 << 41) + 4),
+};
+
+/// Moves shipped per migration wave: the throttle that keeps background
+/// migration from starving foreground traffic (each wave is one
+/// parallel step; the next is emitted only when it completes).
+const WAVE_MOVES: usize = 8;
+
+/// What the fault-aware phase world observed.
+#[derive(Default)]
+pub(crate) struct FaultOutcome {
+    pub(crate) rebuild: Option<RebuildReport>,
+    pub(crate) crash_at: Option<SimTime>,
+    pub(crate) restored_at: Option<SimTime>,
+    /// Shard moves planned across every replanning pass.
+    pub(crate) moves_planned: usize,
+    /// Migration waves shipped.
+    pub(crate) waves: usize,
+}
+
+/// The fault-aware phase world: the standard driver's op chaining plus
+/// the mapping from fired fault events onto DAOS state, the crash →
+/// detect → rebuild → restored chain, the throttled scrubber, and the
+/// membership state machine (add/drain → plan → waves → finish →
+/// repair).
+struct PhaseWorld<'a, W: ProcWorkload> {
+    ops: OpsWorld<'a, W>,
     daos: &'a Rc<RefCell<DaosSystem>>,
-    next_idx: Vec<usize>,
-    inflight: Vec<usize>,
-    ops_per_proc: usize,
-    remaining: usize,
-    last_end: SimTime,
+    markers: &'static Markers,
+    /// A migration wave is in flight; completions (not events) advance
+    /// migration.
+    migrating: bool,
     out: FaultOutcome,
 }
 
-impl<W: ProcWorkload> World for FaultedWorld<'_, W> {
+impl<W: ProcWorkload> PhaseWorld<'_, W> {
+    /// Replan after a membership change and start pumping waves unless
+    /// one is already in flight (it will pick up the new pending moves).
+    fn replan_and_pump(&mut self, sched: &mut Scheduler) {
+        let report = self.daos.borrow_mut().rebalance_plan();
+        self.out.moves_planned += report.moves_planned;
+        if !self.migrating {
+            self.pump(sched);
+        }
+    }
+
+    /// Ship the next migration wave, or — when the pending queue has
+    /// drained — complete the rebalance: retire/promote membership and
+    /// run one repair rescan so nothing a dropped move left behind
+    /// stays unprotected.
+    fn pump(&mut self, sched: &mut Scheduler) {
+        let step = self.daos.borrow_mut().migration_wave(WAVE_MOVES);
+        match step {
+            Some(wave) => {
+                self.migrating = true;
+                self.out.waves += 1;
+                sched.submit(wave, self.markers.migration_wave);
+            }
+            None => {
+                self.migrating = false;
+                let movement = {
+                    let mut d = self.daos.borrow_mut();
+                    d.finish_rebalance();
+                    let (_, movement) = d.rebuild();
+                    movement
+                };
+                sched.submit(movement, self.markers.retire_repair);
+            }
+        }
+    }
+
+    /// Membership/crash events may name a spare server before it has
+    /// been added; state changes for ranks outside the current pool are
+    /// no-ops.
+    fn rank_exists(&self, server: u16) -> bool {
+        (server as usize) < self.daos.borrow().server_count()
+    }
+}
+
+impl<W: ProcWorkload> World for PhaseWorld<'_, W> {
     fn on_op_complete(&mut self, op: OpId, sched: &mut Scheduler) {
-        if op == OP_REBUILD_TRIGGER {
+        let m = self.markers;
+        if op == m.rebuild_trigger {
             // detection delay elapsed: rescan + start the data movement
             let (report, movement) = self.daos.borrow_mut().rebuild();
             self.out.rebuild = Some(report);
-            sched.submit(movement, OP_REBUILD_DONE);
-            return;
-        }
-        if op == OP_REBUILD_DONE {
+            sched.submit(movement, m.rebuild_done);
+        } else if op == m.rebuild_done {
             self.out.restored_at = Some(sched.now());
-            return;
-        }
-        if op == OP_SCRUB_WAVE {
+        } else if op == m.scrub_wave {
             // wave drained: resume the scan from its cursor, stopping
             // after one full pass over the stored units
             if let Some(wave) = self.daos.borrow_mut().scrub_wave(SCRUB_WAVE_UNITS) {
-                sched.submit(wave, OP_SCRUB_WAVE);
+                sched.submit(wave, m.scrub_wave);
             }
-            return;
-        }
-        let proc = op.0 as usize;
-        self.last_end = sched.now();
-        self.inflight[proc] -= 1;
-        let idx = self.next_idx[proc];
-        if idx < self.ops_per_proc {
-            self.next_idx[proc] += 1;
-            self.inflight[proc] += 1;
-            let step = self.wl.op(proc, idx);
-            sched.submit(step, OpId(proc as u64));
-        } else if self.inflight[proc] == 0 {
-            self.remaining -= 1;
+        } else if op == m.migration_wave {
+            self.pump(sched);
+        } else if op != m.retire_repair {
+            self.ops.on_op_complete(op, sched);
         }
     }
 
     // simlint::panic_root — fault handler: must never panic
     fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
         match event.action {
+            FaultAction::AddServer { .. } => {
+                self.daos.borrow_mut().add_server(sched);
+                self.replan_and_pump(sched);
+            }
+            FaultAction::DrainServer { server } => {
+                if self.rank_exists(server as u16) {
+                    self.daos.borrow_mut().drain_server(server as u16);
+                    self.replan_and_pump(sched);
+                }
+            }
             FaultAction::TargetCrash(payload) => {
-                self.daos
-                    .borrow_mut()
-                    .crash_target(TargetId::unpack(payload));
-                if self.out.crash_at.is_none() {
-                    self.out.crash_at = Some(sched.now());
-                    sched.submit(Step::delay(REBUILD_DETECT_NS), OP_REBUILD_TRIGGER);
+                let t = TargetId::unpack(payload);
+                if self.rank_exists(t.server) {
+                    self.daos.borrow_mut().crash_target(t);
+                    if self.out.crash_at.is_none() {
+                        self.out.crash_at = Some(sched.now());
+                        sched.submit(Step::delay(REBUILD_DETECT_NS), self.markers.rebuild_trigger);
+                    }
                 }
             }
             FaultAction::TargetRestart(payload) => {
-                self.daos
-                    .borrow_mut()
-                    .restart_target(TargetId::unpack(payload));
+                let t = TargetId::unpack(payload);
+                if self.rank_exists(t.server) {
+                    self.daos.borrow_mut().restart_target(t);
+                }
             }
             FaultAction::DelayedCompletion { payload, extra_ns } => {
                 self.daos
@@ -309,86 +408,69 @@ impl<W: ProcWorkload> World for FaultedWorld<'_, W> {
                 // a scrub wave has to find the damage on its own
                 self.daos.borrow_mut().apply_bit_rot(locus, shard);
             }
-            // capacity scaling is applied by the engine before dispatch;
-            // membership events belong to the rebalance family's world
-            FaultAction::SlowDisk { .. }
-            | FaultAction::NicBrownout { .. }
-            | FaultAction::AddServer { .. }
-            | FaultAction::DrainServer { .. } => {}
+            // capacity scaling is applied by the engine before dispatch
+            FaultAction::SlowDisk { .. } | FaultAction::NicBrownout { .. } => {}
         }
     }
 }
 
-/// Like [`crate::driver::run_phase`], but fault-aware: setup barrier,
-/// measured op phase with the installed fault plan live, no finalize
-/// (the faulted family's workloads are unbuffered).
-fn run_faulted_phase<W: ProcWorkload>(
+/// The measured op phase with the installed fault plan live, driven by
+/// the fault-aware world (no setup barrier and no finalize: callers
+/// that need a barrier run [`run_setup`] first).  With `scrub`, one full
+/// resumable scrub pass races the foreground ops.
+pub(crate) fn run_fault_phase<W: ProcWorkload>(
     sched: &mut Scheduler,
     wl: &mut W,
     daos: &Rc<RefCell<DaosSystem>>,
+    markers: &'static Markers,
     scrub: bool,
 ) -> (PhaseResult, FaultOutcome) {
-    struct Barrier {
-        remaining: usize,
-    }
-    impl World for Barrier {
-        fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {
-            self.remaining -= 1;
-        }
-    }
-    let procs = wl.procs();
-    let ops_per_proc = wl.ops_per_proc();
-    let mut setup = Barrier { remaining: procs };
-    for p in 0..procs {
-        let step = wl.setup(p);
-        sched.submit(step, OpId(p as u64));
-    }
-    run(sched, &mut setup);
-    assert_eq!(setup.remaining, 0, "setup completions");
-
-    let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = FaultedWorld {
-        wl,
-        daos,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-        out: FaultOutcome {
-            rebuild: None,
-            crash_at: None,
-            restored_at: None,
-        },
-    };
-    for p in 0..procs {
-        let stagger = start_stagger_ns(p);
-        for i in 0..initial {
-            let step = world.wl.op(p, i);
-            sched.submit_after(stagger, step, OpId(p as u64));
-        }
-    }
+    let ops = OpsWorld::start(sched, wl);
     if scrub {
         let mut d = daos.borrow_mut();
         d.scrub_start();
         if let Some(wave) = d.scrub_wave(SCRUB_WAVE_UNITS) {
-            sched.submit(wave, OP_SCRUB_WAVE);
+            sched.submit(wave, markers.scrub_wave);
         }
     }
+    let mut world = PhaseWorld {
+        ops,
+        daos,
+        markers,
+        migrating: false,
+        out: FaultOutcome::default(),
+    };
     run(sched, &mut world);
-    assert_eq!(world.remaining, 0, "all processes finished");
-    let t_end = world.last_end;
-    let total_ops = procs * ops_per_proc;
-    (
-        PhaseResult {
-            bytes: total_ops as f64 * world.wl.bytes_per_op(),
-            seconds: t_end.secs_since(t0),
-            ops: total_ops,
-        },
-        world.out,
-    )
+    (world.ops.finish(), world.out)
+}
+
+/// IOR on DAOS Arrays of `oclass` under the default client retry
+/// policy: easy (file per process, sequential) or `hard` (one shared
+/// file, random offsets).
+pub(crate) fn daos_ior(
+    spec: &RunSpec,
+    daos: &Rc<RefCell<DaosSystem>>,
+    cid: ContainerId,
+    oclass: ObjectClass,
+    hard: bool,
+    tolerate_unavailable: bool,
+) -> Ior {
+    let mut cfg = IorConfig::new(spec.procs(), spec.client_nodes, spec.ops_per_proc);
+    cfg.transfer_size = spec.transfer;
+    cfg.queue_depth = spec.queue_depth;
+    cfg.tolerate_unavailable = tolerate_unavailable;
+    if hard {
+        cfg.file_per_proc = false;
+        cfg.access = AccessOrder::Random;
+    }
+    let backend = IorBackend::Daos {
+        daos: daos.clone(),
+        cid,
+        oclass,
+    };
+    let mut ior = Ior::new(cfg, backend);
+    ior.set_retry_policy(RetryPolicy::default(), spec.seed);
+    ior
 }
 
 /// The failure schedule for a scenario, anchored at `t0` (the boundary
@@ -478,7 +560,7 @@ fn fault_plan(scen: FaultedScenario, t0: SimTime, topo: &Topology) -> FaultPlan 
 /// plan at the phase boundary, faulted read phase, collect the report.
 // simlint::digest_root — faulted-run double-replay digest entry
 pub fn run_faulted(spec: &RunSpec, scen: FaultedScenario, cal: &Calibration) -> FaultedReport {
-    run_faulted_inner(spec, scen, cal, false).0
+    run_faulted_with(spec, scen, cal, &FaultedOpts::default()).0
 }
 
 /// Like [`run_faulted`], but with span recording on: the returned
@@ -491,21 +573,12 @@ pub fn run_faulted_traced(
     scen: FaultedScenario,
     cal: &Calibration,
 ) -> (FaultedReport, crate::tracing::SpanExports) {
-    let (report, exports) = run_faulted_inner(spec, scen, cal, true);
-    (report, exports.expect("traced run exports spans"))
-}
-
-fn run_faulted_inner(
-    spec: &RunSpec,
-    scen: FaultedScenario,
-    cal: &Calibration,
-    traced: bool,
-) -> (FaultedReport, Option<crate::tracing::SpanExports>) {
     let opts = FaultedOpts {
-        traced,
+        traced: true,
         ..FaultedOpts::default()
     };
-    run_faulted_with(spec, scen, cal, &opts)
+    let (report, exports) = run_faulted_with(spec, scen, cal, &opts);
+    (report, exports.expect("traced run exports spans"))
 }
 
 /// Execute one faulted scenario under explicit [`FaultedOpts`]: the
@@ -544,28 +617,19 @@ pub fn run_faulted_with(
 
     let (write, read, retry, out, iface_oracle) = match scen {
         FaultedScenario::IorEasyRp2 | FaultedScenario::IorHardEc2p1 => {
-            let mut cfg = IorConfig::new(spec.procs(), spec.client_nodes, spec.ops_per_proc);
-            cfg.transfer_size = spec.transfer;
-            cfg.queue_depth = spec.queue_depth;
-            cfg.tolerate_unavailable = opts.tolerate_unavailable;
-            let oclass = if scen == FaultedScenario::IorEasyRp2 {
-                ObjectClass::RP_2
-            } else {
-                cfg.file_per_proc = false;
-                cfg.access = AccessOrder::Random;
+            let hard = scen == FaultedScenario::IorHardEc2p1;
+            let oclass = if hard {
                 ObjectClass::EC_2P1
+            } else {
+                ObjectClass::RP_2
             };
-            let backend = IorBackend::Daos {
-                daos: daos.clone(),
-                cid,
-                oclass,
-            };
-            let mut ior = Ior::new(cfg, backend);
-            ior.set_retry_policy(RetryPolicy::default(), spec.seed);
+            let mut ior = daos_ior(spec, &daos, cid, oclass, hard, opts.tolerate_unavailable);
             let write = run_phase(&mut sched, &mut ior);
             sched.install_faults(plan_for(sched.now()));
             ior.set_phase(Phase::Read);
-            let (read, out) = run_faulted_phase(&mut sched, &mut ior, &daos, opts.scrub);
+            run_setup(&mut sched, &mut ior);
+            let (read, out) =
+                run_fault_phase(&mut sched, &mut ior, &daos, &FAULTED_MARKERS, opts.scrub);
             (write, read, ior.retry_stats(), out, None)
         }
         FaultedScenario::FieldIoFaulted => {
@@ -586,7 +650,9 @@ pub fn run_faulted_with(
             let write = run_phase(&mut sched, &mut wl);
             sched.install_faults(plan_for(sched.now()));
             wl.phase = Phase::Read;
-            let (read, out) = run_faulted_phase(&mut sched, &mut wl, &daos, opts.scrub);
+            run_setup(&mut sched, &mut wl);
+            let (read, out) =
+                run_fault_phase(&mut sched, &mut wl, &daos, &FAULTED_MARKERS, opts.scrub);
             let iface = opts.oracles.then(|| wl.fio.verify_consistency(0));
             (write, read, wl.fio.retry_stats(), out, iface)
         }

@@ -15,7 +15,10 @@
 //!   hardware table and the §III-E/F IOR text results);
 //! * [`report`] — rendering to aligned text tables and CSV;
 //! * [`tracing`] — span-traced runs: Chrome `trace_event` JSON
-//!   (Perfetto-loadable) and critical-path attribution exports.
+//!   (Perfetto-loadable) and critical-path attribution exports;
+//! * [`chaos`] — the chaos harness: one [`Family`] trait behind the
+//!   faulted, engine, rebalance and integrity swarms, with generic
+//!   case, swarm, shrink, archive and replay.
 
 pub mod chaos;
 pub mod determinism;
@@ -34,9 +37,9 @@ pub mod verdict;
 pub mod workloads;
 
 pub use chaos::{
-    chaos_space, default_chaos_spec, engine_space, parse_schedule, replay_archived, run_chaos_case,
-    run_chaos_swarm, run_engine_case, run_engine_swarm, run_planned_case, schedule_json,
-    shrink_failing, ArchivedSchedule, ChaosVerdict, SwarmReport,
+    archive_case, chaos_space, default_chaos_spec, engine_space, parse_schedule, replay, run_case,
+    schedule_json, shrink, slug, swarm, ArchivedSchedule, CaseRun, ChaosVerdict, Engine, Family,
+    Faulted, SwarmReport,
 };
 pub use determinism::{replay_all, replay_scenario, ScenarioReplay};
 pub use driver::{run_phase, PhaseResult};
@@ -47,13 +50,11 @@ pub use faulted::{
 pub use figures::{Figure, Point, Series};
 pub use integrity::{
     default_integrity_spec, integrity_case_ok, integrity_plan, render_integrity_json,
-    replay_archived_integrity, run_integrity_case, run_integrity_swarm, run_planned_integrity_case,
-    shrink_failing_integrity, IntegrityScenario, IntegrityVerdict,
+    render_integrity_line, Integrity, IntegrityScenario,
 };
 pub use rebalance::{
-    default_rebalance_spec, rebalance_space, replay_archived_rebalance, run_planned_rebalance_case,
-    run_rebalance_case, run_rebalance_swarm, run_rebalance_with, shrink_failing_rebalance,
-    RebalanceOpts, RebalanceRunReport, RebalanceScenario,
+    default_rebalance_spec, rebalance_space, run_rebalance_with, Rebalance, RebalanceOpts,
+    RebalanceRunReport, RebalanceScenario,
 };
 pub use runreport::{
     default_slo_rules, faulted_slo_rules, report_chaos_case, report_faulted, report_rebalance,

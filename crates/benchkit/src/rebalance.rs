@@ -23,48 +23,29 @@
 //!
 //! The chaos surface ([`rebalance_space`]) extends the faulted family's
 //! with the three rebalance dimensions (server adds, server drains,
-//! crashes aimed at migration sources/destinations), and the verdict
-//! machinery — durability/redundancy oracles, double-run determinism,
-//! schedule archiving, ddmin shrinking — is shared with
-//! [`crate::chaos`].
+//! crashes aimed at migration sources/destinations).  [`Rebalance`]
+//! plugs the family into the shared chaos harness
+//! ([`crate::chaos::Family`]): durability/redundancy oracles, double-run
+//! determinism, schedule archiving and ddmin shrinking.
 
-use crate::chaos::{determinism_violation, ChaosVerdict, SwarmReport};
-use crate::driver::{run_phase, start_stagger_ns, PhaseResult};
-use crate::faulted::PlanSource;
+use crate::chaos::{engine_space, scratch_topology, CaseRun, Family};
+use crate::driver::{run_phase, PhaseResult};
+use crate::faulted::{daos_ior, run_fault_phase, PlanSource, REBALANCE_MARKERS};
 use crate::scenarios::{exec, make_sched, RunSpec};
-use cluster::bench::{Phase, ProcWorkload};
+use crate::tracing::SpanExports;
+use cluster::bench::Phase;
 use cluster::{Calibration, ClusterSpec};
 use daos_core::{
     ContainerProps, DaosSystem, DataMode, MigrationProgress, ObjectClass, OracleReport,
-    RebuildReport, RetryPolicy, RetryStats, TargetId,
+    RebuildReport, RetryStats, TargetId,
 };
-use ior_bench::{AccessOrder, Ior, IorBackend, IorConfig};
-use simkit::{
-    generate, run, shrink, ChaosConfig, ChaosSpace, FaultAction, FaultEvent, FaultPlan, OpId,
-    Scheduler, ShrinkOutcome, SimTime, Step, World,
-};
+use simkit::{generate, ChaosConfig, ChaosSpace, FaultAction, FaultPlan, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Spare hardware nodes every rebalance deployment keeps beyond the
 /// deployed servers — [`FaultAction::AddServer`] grows into them.
 pub const SPARE_SERVERS: usize = 2;
-
-/// Moves shipped per migration wave: the throttle that keeps background
-/// migration from starving foreground traffic (each wave is one
-/// parallel step; the next is emitted only when it completes).
-const WAVE_MOVES: usize = 8;
-
-/// Crash-to-rebuild detection delay, same constant as the faulted
-/// family (RAS propagation + pool-map distribution).
-const REBUILD_DETECT_NS: u64 = 2_000_000;
-
-/// Marker op ids, far above any process index and disjoint from the
-/// faulted family's `1 << 40` block.
-const OP_WAVE: OpId = OpId(1 << 41);
-const OP_REBUILD_TRIGGER: OpId = OpId((1 << 41) + 1);
-const OP_REBUILD_DONE: OpId = OpId((1 << 41) + 2);
-const OP_RETIRE_REPAIR: OpId = OpId((1 << 41) + 3);
 
 /// The live-rebalance benchmark family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -122,11 +103,7 @@ pub fn default_rebalance_spec() -> RunSpec {
 /// topology (`servers + SPARE_SERVERS`), matching the real run's
 /// registration order exactly.
 pub fn rebalance_space(spec: &RunSpec, cal: &Calibration) -> ChaosSpace {
-    let mut sched = Scheduler::new();
-    let topo = ClusterSpec::new(spec.servers + SPARE_SERVERS, spec.client_nodes)
-        .with_cal(cal.clone())
-        .build(&mut sched);
-    let mut space = crate::chaos::engine_space(&topo);
+    let mut space = engine_space(&scratch_topology(spec.servers + SPARE_SERVERS, spec, cal));
     let group = |server: u16| -> Vec<u64> {
         (0..cal.targets_per_server as u16)
             .map(|target| TargetId { server, target }.pack())
@@ -212,198 +189,17 @@ impl Default for RebalanceOpts {
     }
 }
 
-/// What the rebalance driver observed during the churn phase.
-struct RebalanceOutcome {
-    rebuild: Option<RebuildReport>,
-    crash_at: Option<SimTime>,
-    moves_planned: usize,
-    waves: usize,
-}
-
-/// The rebalance-phase world: op chaining plus the membership state
-/// machine (add/drain → plan → waves → finish → repair) and the crash →
-/// detect → rebuild chain.
-struct RebalanceWorld<'a, W: ProcWorkload> {
-    wl: &'a mut W,
-    daos: &'a Rc<RefCell<DaosSystem>>,
-    next_idx: Vec<usize>,
-    inflight: Vec<usize>,
-    ops_per_proc: usize,
-    remaining: usize,
-    last_end: SimTime,
-    /// A wave is in flight; completions (not events) advance migration.
-    migrating: bool,
-    out: RebalanceOutcome,
-}
-
-impl<W: ProcWorkload> RebalanceWorld<'_, W> {
-    /// Replan after a membership change and start pumping waves unless
-    /// one is already in flight (it will pick up the new pending moves).
-    fn replan_and_pump(&mut self, sched: &mut Scheduler) {
-        let report = self.daos.borrow_mut().rebalance_plan();
-        self.out.moves_planned += report.moves_planned;
-        if !self.migrating {
-            self.pump(sched);
+impl RebalanceOpts {
+    /// A chaos case's run: the phase-relative `plan`, `Full` data and
+    /// every oracle auditing.
+    pub(crate) fn audited(plan: &FaultPlan) -> Self {
+        RebalanceOpts {
+            plan: PlanSource::Fixed(plan.clone()),
+            mode: DataMode::Full,
+            oracles: true,
+            ..RebalanceOpts::default()
         }
     }
-
-    /// Ship the next migration wave, or — when the pending queue has
-    /// drained — complete the rebalance: retire/promote membership and
-    /// run one repair rescan so nothing a dropped move left behind
-    /// stays unprotected.
-    fn pump(&mut self, sched: &mut Scheduler) {
-        let step = self.daos.borrow_mut().migration_wave(WAVE_MOVES);
-        match step {
-            Some(wave) => {
-                self.migrating = true;
-                self.out.waves += 1;
-                sched.submit(wave, OP_WAVE);
-            }
-            None => {
-                self.migrating = false;
-                let movement = {
-                    let mut d = self.daos.borrow_mut();
-                    d.finish_rebalance();
-                    let (_, movement) = d.rebuild();
-                    movement
-                };
-                sched.submit(movement, OP_RETIRE_REPAIR);
-            }
-        }
-    }
-
-    /// Membership/crash events may name a spare server before it has
-    /// been added; state changes for ranks outside the current pool are
-    /// no-ops.
-    fn rank_exists(&self, t: TargetId) -> bool {
-        (t.server as usize) < self.daos.borrow().server_count()
-    }
-}
-
-impl<W: ProcWorkload> World for RebalanceWorld<'_, W> {
-    fn on_op_complete(&mut self, op: OpId, sched: &mut Scheduler) {
-        if op == OP_WAVE {
-            self.pump(sched);
-            return;
-        }
-        if op == OP_RETIRE_REPAIR || op == OP_REBUILD_DONE {
-            return;
-        }
-        if op == OP_REBUILD_TRIGGER {
-            let (report, movement) = self.daos.borrow_mut().rebuild();
-            self.out.rebuild = Some(report);
-            sched.submit(movement, OP_REBUILD_DONE);
-            return;
-        }
-        let proc = op.0 as usize;
-        self.last_end = sched.now();
-        self.inflight[proc] -= 1;
-        let idx = self.next_idx[proc];
-        if idx < self.ops_per_proc {
-            self.next_idx[proc] += 1;
-            self.inflight[proc] += 1;
-            let step = self.wl.op(proc, idx);
-            sched.submit(step, OpId(proc as u64));
-        } else if self.inflight[proc] == 0 {
-            self.remaining -= 1;
-        }
-    }
-
-    // simlint::panic_root — fault handler: must never panic
-    fn on_fault(&mut self, event: &FaultEvent, sched: &mut Scheduler) {
-        match event.action {
-            FaultAction::AddServer { .. } => {
-                self.daos.borrow_mut().add_server(sched);
-                self.replan_and_pump(sched);
-            }
-            FaultAction::DrainServer { server } => {
-                let rank = TargetId {
-                    server: server as u16,
-                    target: 0,
-                };
-                if self.rank_exists(rank) {
-                    self.daos.borrow_mut().drain_server(server as u16);
-                    self.replan_and_pump(sched);
-                }
-            }
-            FaultAction::TargetCrash(payload) => {
-                let t = TargetId::unpack(payload);
-                if self.rank_exists(t) {
-                    self.daos.borrow_mut().crash_target(t);
-                    if self.out.crash_at.is_none() {
-                        self.out.crash_at = Some(sched.now());
-                        sched.submit(Step::delay(REBUILD_DETECT_NS), OP_REBUILD_TRIGGER);
-                    }
-                }
-            }
-            FaultAction::TargetRestart(payload) => {
-                let t = TargetId::unpack(payload);
-                if self.rank_exists(t) {
-                    self.daos.borrow_mut().restart_target(t);
-                }
-            }
-            FaultAction::DelayedCompletion { payload, extra_ns } => {
-                self.daos
-                    .borrow_mut()
-                    .set_extra_delay(payload as u16, extra_ns);
-            }
-            FaultAction::BitRot { locus, shard } => {
-                // silent: only a verified read (or the faulted family's
-                // scrubber) will find the damage
-                self.daos.borrow_mut().apply_bit_rot(locus, shard);
-            }
-            // capacity scaling is applied by the engine before dispatch
-            FaultAction::SlowDisk { .. } | FaultAction::NicBrownout { .. } => {}
-        }
-    }
-}
-
-/// Like the faulted family's phase runner, with the rebalance world.
-fn run_rebalance_phase<W: ProcWorkload>(
-    sched: &mut Scheduler,
-    wl: &mut W,
-    daos: &Rc<RefCell<DaosSystem>>,
-) -> (PhaseResult, RebalanceOutcome) {
-    let procs = wl.procs();
-    let ops_per_proc = wl.ops_per_proc();
-    let t0 = sched.now();
-    let qd = wl.queue_depth().max(1);
-    let initial = qd.min(ops_per_proc);
-    let mut world = RebalanceWorld {
-        wl,
-        daos,
-        next_idx: vec![initial; procs],
-        inflight: vec![initial; procs],
-        ops_per_proc,
-        remaining: procs,
-        last_end: t0,
-        migrating: false,
-        out: RebalanceOutcome {
-            rebuild: None,
-            crash_at: None,
-            moves_planned: 0,
-            waves: 0,
-        },
-    };
-    for p in 0..procs {
-        let stagger = start_stagger_ns(p);
-        for i in 0..initial {
-            let step = world.wl.op(p, i);
-            sched.submit_after(stagger, step, OpId(p as u64));
-        }
-    }
-    run(sched, &mut world);
-    assert_eq!(world.remaining, 0, "all processes finished");
-    let t_end = world.last_end;
-    let total_ops = procs * ops_per_proc;
-    (
-        PhaseResult {
-            bytes: total_ops as f64 * world.wl.bytes_per_op(),
-            seconds: t_end.secs_since(t0),
-            ops: total_ops,
-        },
-        world.out,
-    )
 }
 
 /// The builtin schedule: one server add and one server drain early in
@@ -452,30 +248,16 @@ pub fn run_rebalance_with(
     exec(&mut sched, s);
     let daos = Rc::new(RefCell::new(daos_sys));
 
-    let mut cfg = IorConfig::new(spec.procs(), spec.client_nodes, spec.ops_per_proc);
-    cfg.transfer_size = spec.transfer;
-    cfg.queue_depth = spec.queue_depth;
     let oclass = match scen {
         RebalanceScenario::IorEasyRp2 => ObjectClass::RP_2,
-        RebalanceScenario::IorEasyS1 => {
-            // no redundancy: a crash genuinely loses extents, and the
-            // oracle — not the benchmark driver — delivers that verdict
-            cfg.tolerate_unavailable = true;
-            ObjectClass::S1
-        }
-        RebalanceScenario::IorHardEc2p1 => {
-            cfg.file_per_proc = false;
-            cfg.access = AccessOrder::Random;
-            ObjectClass::EC_2P1
-        }
+        RebalanceScenario::IorEasyS1 => ObjectClass::S1,
+        RebalanceScenario::IorHardEc2p1 => ObjectClass::EC_2P1,
     };
-    let backend = IorBackend::Daos {
-        daos: daos.clone(),
-        cid,
-        oclass,
-    };
-    let mut ior = Ior::new(cfg, backend);
-    ior.set_retry_policy(RetryPolicy::default(), spec.seed);
+    // S1 has no redundancy: a crash genuinely loses extents, and the
+    // oracle — not the benchmark driver — delivers that verdict
+    let unavailable_ok = scen == RebalanceScenario::IorEasyS1;
+    let hard = scen == RebalanceScenario::IorHardEc2p1;
+    let mut ior = daos_ior(spec, &daos, cid, oclass, hard, unavailable_ok);
     let write = run_phase(&mut sched, &mut ior);
     let plan = match &opts.plan {
         PlanSource::Builtin => builtin_plan(spec, sched.now()),
@@ -483,7 +265,7 @@ pub fn run_rebalance_with(
     };
     sched.install_faults(plan);
     ior.set_phase(Phase::Read);
-    let (read, out) = run_rebalance_phase(&mut sched, &mut ior, &daos);
+    let (read, out) = run_fault_phase(&mut sched, &mut ior, &daos, &REBALANCE_MARKERS, false);
 
     let oracles = opts.oracles.then(|| {
         let mut d = daos.borrow_mut();
@@ -529,116 +311,67 @@ pub fn run_rebalance_with(
     }
 }
 
-/// Run a rebalance-family case under an explicit schedule, twice from
-/// fresh state, with the full oracle suite plus a digest determinism
-/// check — the replay and shrink entry point.
-pub fn run_planned_rebalance_case(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    seed: u64,
-    plan: FaultPlan,
-) -> ChaosVerdict {
-    let opts = RebalanceOpts {
-        plan: PlanSource::Fixed(plan.clone()),
-        mode: DataMode::Full,
-        oracles: true,
-        ..RebalanceOpts::default()
-    };
-    let first = run_rebalance_with(spec, scen, cal, &opts);
-    let second = run_rebalance_with(spec, scen, cal, &opts);
-    let mut oracle = first.oracles.clone().unwrap_or_default();
-    if first.digest != second.digest {
-        oracle.violations.push(determinism_violation(
-            scen.name(),
-            first.digest,
-            second.digest,
-        ));
-    }
-    ChaosVerdict {
-        scenario: scen.name().to_string(),
-        seed,
-        plan,
-        oracle,
-        digest: first.digest,
-    }
-}
-
-/// Run one rebalance chaos case: sample the seed's schedule from the
-/// rebalance fault surface and run it as a planned case.
-pub fn run_rebalance_case(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    seed: u64,
-) -> ChaosVerdict {
-    let space = rebalance_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
-    run_planned_rebalance_case(spec, scen, cal, seed, plan)
-}
-
-/// Swarm the rebalance family: every scenario in
-/// [`RebalanceScenario::SWARM`] under every seed in `seeds`.
-pub fn run_rebalance_swarm(spec: &RunSpec, cal: &Calibration, seeds: &[u64]) -> SwarmReport {
-    let mut report = SwarmReport::default();
-    for &seed in seeds {
-        for scen in RebalanceScenario::SWARM {
-            report
-                .verdicts
-                .push(run_rebalance_case(spec, scen, cal, seed));
+impl From<RebalanceRunReport> for CaseRun {
+    fn from(r: RebalanceRunReport) -> Self {
+        CaseRun {
+            oracle: r.oracles.unwrap_or_default(),
+            csum: r.csum,
+            scrub: None,
+            digest: r.digest,
         }
     }
-    report
 }
 
-/// Shrink a failing rebalance-family schedule to a minimal reproducer
-/// (single-sided probes; re-establish the verdict with
-/// [`run_planned_rebalance_case`]).
-pub fn shrink_failing_rebalance(
-    spec: &RunSpec,
-    scen: RebalanceScenario,
-    cal: &Calibration,
-    plan: &FaultPlan,
-) -> ShrinkOutcome {
-    shrink(plan, |candidate| {
-        let opts = RebalanceOpts {
-            plan: PlanSource::Fixed(candidate.clone()),
-            mode: DataMode::Full,
-            oracles: true,
-            ..RebalanceOpts::default()
-        };
-        let report = run_rebalance_with(spec, scen, cal, &opts);
-        !report
-            .oracles
-            .as_ref()
-            .map(OracleReport::ok)
-            .unwrap_or(true)
-    })
-}
+/// The rebalance chaos family: schedules sampled from
+/// [`rebalance_space`], ledger on, durability and redundancy audited.
+/// Swarms run the redundant [`RebalanceScenario::SWARM`] classes;
+/// archives may also name the planted-violation `S1` scenario.  Runs
+/// are untraced: the rebalance driver has no traced runner.
+pub struct Rebalance;
 
-/// Rerun an archived rebalance-family schedule: resolve the scenario
-/// against [`RebalanceScenario::ALL`] and replay the stored plan at the
-/// stored deployment shape.
-pub fn replay_archived_rebalance(
-    arch: &crate::chaos::ArchivedSchedule,
-    cal: &Calibration,
-) -> Result<ChaosVerdict, String> {
-    let scen = RebalanceScenario::ALL
-        .into_iter()
-        .find(|s| s.name() == arch.scenario)
-        .ok_or_else(|| format!("unknown rebalance scenario {:?}", arch.scenario))?;
-    Ok(run_planned_rebalance_case(
-        &arch.spec,
-        scen,
-        cal,
-        arch.seed,
-        arch.plan.clone(),
-    ))
+impl Family for Rebalance {
+    type Scenario = RebalanceScenario;
+    const NAME: &'static str = "rebalance";
+    const PREFIX: &'static str = "rebalance";
+    const JUDGED_BY: &'static str = "full oracles";
+    const SCENARIOS: &'static [RebalanceScenario] = &RebalanceScenario::ALL;
+    const SWARM: &'static [RebalanceScenario] = &RebalanceScenario::SWARM;
+
+    fn scenario_name(&self, scen: RebalanceScenario) -> &'static str {
+        scen.name()
+    }
+
+    fn default_spec(&self) -> RunSpec {
+        default_rebalance_spec()
+    }
+
+    fn seed_plan(
+        &self,
+        spec: &RunSpec,
+        _: RebalanceScenario,
+        cal: &Calibration,
+        seed: u64,
+    ) -> FaultPlan {
+        generate(&rebalance_space(spec, cal), &ChaosConfig::default(), seed)
+    }
+
+    fn run_plan(
+        &self,
+        spec: &RunSpec,
+        scen: RebalanceScenario,
+        cal: &Calibration,
+        plan: &FaultPlan,
+        _: bool,
+    ) -> (CaseRun, Option<SpanExports>) {
+        let report = run_rebalance_with(spec, scen, cal, &RebalanceOpts::audited(plan));
+        (report.into(), None)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::run_case;
 
     fn tiny_spec() -> RunSpec {
         let mut spec = default_rebalance_spec();
@@ -671,9 +404,20 @@ mod tests {
     fn rebalance_case_is_deterministic() {
         let spec = tiny_spec();
         let cal = Calibration::default();
-        let a = run_rebalance_case(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let scen = RebalanceScenario::IorEasyRp2;
+        let case = || {
+            run_case(
+                &Rebalance,
+                &spec,
+                scen,
+                &cal,
+                3,
+                Rebalance.seed_plan(&spec, scen, &cal, 3),
+            )
+        };
+        let a = case();
         assert!(a.passed(), "seed 3 must be green:\n{}", a.oracle.render());
-        let b = run_rebalance_case(&spec, RebalanceScenario::IorEasyRp2, &cal, 3);
+        let b = case();
         assert_eq!(a.digest, b.digest, "same seed, same case digest");
         assert_eq!(a.plan.to_json(), b.plan.to_json());
     }

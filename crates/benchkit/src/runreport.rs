@@ -20,14 +20,15 @@
 //! committed `SLO_baseline.json` and fails CI when a rule that passed
 //! at the seed starts failing.
 
+use crate::chaos::{Family, Faulted};
 use crate::driver::PhaseResult;
 use crate::faulted::{FaultedOpts, FaultedReport, FaultedScenario, PlanSource};
 use crate::rebalance::{RebalanceOpts, RebalanceRunReport, RebalanceScenario};
 use crate::scenarios::{make_sched, run_scenario_on, RunSpec, Scenario};
 use cluster::Calibration;
 use simkit::{
-    chrome_trace_json_with_counters, evaluate_slos, generate, layer_histograms, render_slo_text,
-    ChaosConfig, Json, Monitor, Rate, ResourceId, Scheduler, SloInputs, SloRule, SloVerdict,
+    chrome_trace_json_with_counters, evaluate_slos, layer_histograms, render_slo_text, Json,
+    Monitor, Rate, ResourceId, Scheduler, SloInputs, SloRule, SloVerdict,
 };
 use std::fmt::Write as _;
 
@@ -452,8 +453,7 @@ pub fn report_chaos_case(
     cal: &Calibration,
     seed: u64,
 ) -> FaultedReport {
-    let space = crate::chaos::chaos_space(spec, cal);
-    let plan = generate(&space, &ChaosConfig::default(), seed);
+    let plan = Faulted.seed_plan(spec, scen, cal, seed);
     let opts = FaultedOpts {
         plan: PlanSource::Fixed(plan),
         traced: true,

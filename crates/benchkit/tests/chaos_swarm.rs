@@ -2,16 +2,21 @@
 //! both scenario families, and a deliberately planted invariant
 //! violation is detected by the oracles, shrunk to a minimal schedule
 //! by delta debugging, archived to JSON, and replayed byte-identically
-//! from the archive.
+//! from the archive.  Every family's archives replay through the one
+//! generic `replay`.
 
 use benchkit::chaos::{
-    default_chaos_spec, parse_schedule, replay_archived, run_chaos_swarm, run_engine_swarm,
-    run_planned_case, schedule_json, shrink_failing,
+    archive_case, default_chaos_spec, parse_schedule, replay, run_case, schedule_json, shrink,
+    swarm, Engine, Family, Faulted,
 };
 use benchkit::faulted::FaultedScenario;
+use benchkit::integrity::{Integrity, IntegrityScenario};
+use benchkit::rebalance::{Rebalance, RebalanceScenario};
+use benchkit::{RunSpec, Scenario};
 use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
+use std::path::Path;
 
 #[test]
 fn seeded_swarm_is_green_over_both_families() {
@@ -19,7 +24,7 @@ fn seeded_swarm_is_green_over_both_families() {
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let faulted = run_chaos_swarm(&spec, &cal, &[1, 2]);
+    let faulted = swarm(&Faulted, &spec, &cal, &[1, 2]);
     assert_eq!(faulted.verdicts.len(), 2 * FaultedScenario::ALL.len());
     assert!(faulted.passed(), "faulted swarm:\n{}", faulted.render());
     // every case actually audited something
@@ -34,7 +39,7 @@ fn seeded_swarm_is_green_over_both_families() {
 
     let mut espec = benchkit::RunSpec::new(2, 1, 2);
     espec.ops_per_proc = 8;
-    let engine = run_engine_swarm(&espec, &cal, &[5]);
+    let engine = swarm(&Engine, &espec, &cal, &[5]);
     assert!(engine.passed(), "engine swarm:\n{}", engine.render());
 }
 
@@ -95,7 +100,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_plan();
 
     // 1. detection: the redundancy oracle flags the stranded target
-    let verdict = run_planned_case(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case(&Faulted, &spec, scen, &cal, 0xBAD, plan.clone());
     assert!(!verdict.passed(), "planted violation must be caught");
     assert!(
         verdict
@@ -109,7 +114,7 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
 
     // 2. shrinking: delta debugging reduces the schedule to the minimal
     // failing pair (trigger crash + stranded crash)
-    let outcome = shrink_failing(&spec, scen, &cal, &plan);
+    let outcome = shrink(&Faulted, &spec, scen, &cal, &plan);
     assert!(outcome.reproduced, "shrinker must reproduce the failure");
     assert_eq!(
         outcome.plan.len(),
@@ -128,15 +133,55 @@ fn planted_violation_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. archive: JSON round-trips and the replay command reruns the
     // shrunken schedule byte-identically
-    let direct = run_planned_case(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let direct = run_case(&Faulted, &spec, scen, &cal, 0xBAD, outcome.plan.clone());
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
         replayed.digest, direct.digest,
         "replay from archive is byte-identical"
     );
     assert!(!replayed.passed());
+}
+
+/// Run `scen`'s seed-3 case, archive it, and replay the archived
+/// schedule through the generic `replay`.
+fn archive_and_replay<F: Family>(fam: &F, scen: F::Scenario, spec: &RunSpec, out: &Path) {
+    let cal = Calibration::default();
+    let v = run_case(fam, spec, scen, &cal, 3, fam.seed_plan(spec, scen, &cal, 3));
+    let (path, _) = archive_case(fam, &v, spec, &cal, out).expect("case archives");
+    let json = std::fs::read_to_string(&path).expect("schedule written");
+    assert!(
+        json.contains("\"replay\": \"repro replay --schedule <this file>\""),
+        "archive names the generic replay command: {json}"
+    );
+    let arch = parse_schedule(&json).expect("archive parses");
+    let replayed = replay(&arch, &cal).expect("scenario resolves");
+    assert_eq!(replayed.scenario, v.scenario);
+    assert_eq!(
+        replayed.digest, v.digest,
+        "{} replays from its archive to the original digest",
+        v.scenario
+    );
+}
+
+#[test]
+fn every_family_archives_and_replays_to_its_digest() {
+    let out = std::env::temp_dir().join(format!("benchkit-archives-{}", std::process::id()));
+    let mut spec = default_chaos_spec();
+    spec.ops_per_proc = 8;
+    archive_and_replay(&Faulted, FaultedScenario::IorHardEc2p1, &spec, &out);
+    assert!(
+        out.join("faulted-ior-hard-ec-2p1-crash.trace.json")
+            .exists(),
+        "faulted archives ship a traced replay"
+    );
+    let mut espec = RunSpec::new(2, 1, 2);
+    espec.ops_per_proc = 8;
+    archive_and_replay(&Engine, Scenario::FdbDaos, &espec, &out);
+    archive_and_replay(&Rebalance, RebalanceScenario::IorHardEc2p1, &spec, &out);
+    archive_and_replay(&Integrity, IntegrityScenario::ScrubReadRace, &spec, &out);
+    std::fs::remove_dir_all(&out).expect("remove archive directory");
 }

@@ -5,11 +5,10 @@
 //! loudly as Corruption, ddmin-shrinks to its minimal two-rot schedule,
 //! and replays byte-identically from the archived JSON.
 
-use benchkit::chaos::{parse_schedule, schedule_json};
+use benchkit::chaos::{parse_schedule, replay, run_case, schedule_json, shrink, swarm};
 use benchkit::faulted::{run_faulted_with, FaultedOpts, FaultedScenario, PlanSource};
 use benchkit::integrity::{
-    default_integrity_spec, replay_archived_integrity, run_integrity_case, run_integrity_swarm,
-    run_planned_integrity_case, shrink_failing_integrity, IntegrityScenario,
+    default_integrity_spec, integrity_plan, render_integrity_line, Integrity, IntegrityScenario,
 };
 use cluster::Calibration;
 use daos_core::{DataMode, OracleKind};
@@ -74,20 +73,21 @@ fn seeded_rot_is_detected_and_repaired_on_rp2_and_ec() {
 fn integrity_swarm_is_green_over_every_scenario() {
     let spec = tiny_spec();
     let cal = Calibration::default();
-    let (report, verdicts) = run_integrity_swarm(&spec, &cal, &[1, 2]);
+    let report = swarm(&Integrity, &spec, &cal, &[1, 2]);
+    let verdicts = &report.verdicts;
     assert_eq!(verdicts.len(), 2 * IntegrityScenario::ALL.len());
     assert!(report.passed(), "integrity swarm:\n{}", report.render());
-    for v in &verdicts {
-        assert_eq!(v.csum.served_corrupt, 0, "{}", v.render_line());
-        assert!(v.csum.detected >= 1, "{}", v.render_line());
+    for v in verdicts {
+        assert_eq!(v.csum.served_corrupt, 0, "{}", render_integrity_line(v));
+        assert!(v.csum.detected >= 1, "{}", render_integrity_line(v));
     }
     // the scrubbing scenario completed exactly one throttled pass per run
     for v in verdicts
         .iter()
-        .filter(|v| v.chaos.scenario == IntegrityScenario::ScrubReadRace.name())
+        .filter(|v| v.scenario == IntegrityScenario::ScrubReadRace.name())
     {
         let scrub = v.scrub.expect("scrub-read-race scrubs");
-        assert_eq!(scrub.passes, 1, "{}", v.render_line());
+        assert_eq!(scrub.passes, 1, "{}", render_integrity_line(v));
         assert!(scrub.units_scanned > 0);
         assert_eq!(scrub.unrepairable, 0);
     }
@@ -100,11 +100,14 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
     let scen = IntegrityScenario::RotBeyondRedundancy;
 
     // 1. detection: the planted double rot fails loudly as Corruption
-    let v = run_integrity_case(&spec, scen, &cal, 7);
-    assert!(v.passed(), "loud corruption expected:\n{}", v.render_line());
-    assert!(!v.chaos.oracle.ok());
+    let v = run_case(&Integrity, &spec, scen, &cal, 7, integrity_plan(scen, 7));
+    assert!(
+        v.passed(),
+        "loud corruption expected:\n{}",
+        render_integrity_line(&v)
+    );
+    assert!(!v.oracle.ok());
     assert!(v
-        .chaos
         .oracle
         .violations
         .iter()
@@ -113,7 +116,7 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
     assert!(v.csum.unrepairable >= 1);
 
     // 2. shrinking: ddmin keeps exactly the load-bearing rot pair
-    let outcome = shrink_failing_integrity(&spec, scen, &cal, 7, &v.chaos.plan);
+    let outcome = shrink(&Integrity, &spec, scen, &cal, &v.plan);
     assert!(outcome.reproduced, "shrinker must reproduce the corruption");
     assert_eq!(outcome.plan.len(), 2, "both rots are load-bearing");
     for ev in outcome.plan.events() {
@@ -126,14 +129,14 @@ fn rot_beyond_redundancy_shrinks_and_replays_from_archive() {
 
     // 3. archive: the shrunken schedule round-trips through JSON and
     // replays byte-identically
-    let direct = run_planned_integrity_case(&spec, scen, &cal, 7, outcome.plan.clone());
-    assert!(!direct.chaos.oracle.ok(), "shrunken schedule still screams");
+    let direct = run_case(&Integrity, &spec, scen, &cal, 7, outcome.plan.clone());
+    assert!(!direct.oracle.ok(), "shrunken schedule still screams");
     let json = schedule_json(scen.name(), 7, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived_integrity(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
-        replayed.chaos.digest, direct.chaos.digest,
+        replayed.digest, direct.digest,
         "replay from archive is byte-identical"
     );
     assert_eq!(replayed.csum, direct.csum);

@@ -6,11 +6,8 @@
 //! reproducer, archived to JSON, and replayed byte-identically from the
 //! archive.
 
-use benchkit::chaos::{parse_schedule, schedule_json};
-use benchkit::rebalance::{
-    default_rebalance_spec, replay_archived_rebalance, run_planned_rebalance_case,
-    run_rebalance_swarm, shrink_failing_rebalance, RebalanceScenario,
-};
+use benchkit::chaos::{parse_schedule, replay, run_case, schedule_json, shrink, swarm};
+use benchkit::rebalance::{default_rebalance_spec, Rebalance, RebalanceScenario};
 use cluster::Calibration;
 use daos_core::{OracleKind, TargetId};
 use simkit::{FaultAction, FaultPlan, SimTime};
@@ -21,7 +18,7 @@ fn seeded_rebalance_swarm_is_green_over_redundant_classes() {
     spec.ops_per_proc = 8;
     let cal = Calibration::default();
 
-    let swarm = run_rebalance_swarm(&spec, &cal, &[1, 2]);
+    let swarm = swarm(&Rebalance, &spec, &cal, &[1, 2]);
     assert_eq!(
         swarm.verdicts.len(),
         2 * RebalanceScenario::SWARM.len(),
@@ -71,7 +68,7 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
     let plan = planted_lost_extent_plan();
 
     // 1. detection: the durability oracle flags the lost extents
-    let verdict = run_planned_rebalance_case(&spec, scen, &cal, 0x10EE, plan.clone());
+    let verdict = run_case(&Rebalance, &spec, scen, &cal, 0x10EE, plan.clone());
     assert!(!verdict.passed(), "planted lost extents must be caught");
     assert!(
         verdict
@@ -85,7 +82,7 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
 
     // 2. shrinking: delta debugging strips the drain and the redundant
     // crashes down to a minimal reproducer
-    let outcome = shrink_failing_rebalance(&spec, scen, &cal, &plan);
+    let outcome = shrink(&Rebalance, &spec, scen, &cal, &plan);
     assert!(outcome.reproduced, "shrinker must reproduce the failure");
     assert!(
         outcome.plan.len() <= 2,
@@ -103,12 +100,12 @@ fn planted_lost_extent_is_caught_shrunk_and_replayed_from_archive() {
 
     // 3. archive: JSON round-trips and the replay reruns the shrunken
     // schedule byte-identically
-    let direct = run_planned_rebalance_case(&spec, scen, &cal, 0x10EE, outcome.plan.clone());
+    let direct = run_case(&Rebalance, &spec, scen, &cal, 0x10EE, outcome.plan.clone());
     assert!(!direct.passed(), "shrunken schedule still fails");
     let json = schedule_json(scen.name(), 0x10EE, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("archive parses");
     assert_eq!(arch.plan.to_json(), outcome.plan.to_json());
-    let replayed = replay_archived_rebalance(&arch, &cal).expect("archive replays");
+    let replayed = replay(&arch, &cal).expect("archive replays");
     assert_eq!(
         replayed.digest, direct.digest,
         "replay from archive is byte-identical"

@@ -199,8 +199,6 @@ pub struct Scheduler {
     pub stat_flow_visits: u64,
     /// Diagnostics: total progressive-filling iterations.
     pub stat_fill_iters: u64,
-    /// Diagnostics: wall time in settle/rebuild/solve/events (ns).
-    pub stat_ns: [u64; 4],
 }
 
 impl Default for Scheduler {
@@ -237,7 +235,6 @@ impl Scheduler {
             stat_recomputes: 0,
             stat_flow_visits: 0,
             stat_fill_iters: 0,
-            stat_ns: [0; 4],
         }
     }
 
@@ -679,18 +676,12 @@ impl Scheduler {
 
     /// Recompute max-min fair rates and flow deadlines.
     fn recompute_rates(&mut self) {
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t0 = std::time::Instant::now();
         self.settle_to(self.now);
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t1 = std::time::Instant::now();
         self.fair.begin(self.caps.len());
         // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves; incremental re-solve is ROADMAP item 2
         for (key, f) in self.flows.iter() {
             self.fair.add_flow(key, &f.path);
         }
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t2 = std::time::Instant::now();
         self.stat_recomputes += 1;
         self.stat_flow_visits += self.flows.len() as u64;
         let fill_iters = self.fair.solve(&self.caps) as u64;
@@ -700,11 +691,6 @@ impl Scheduler {
             self.telemetry
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let t3 = std::time::Instant::now();
-        self.stat_ns[0] += (t1 - t0).as_nanos() as u64;
-        self.stat_ns[1] += (t2 - t1).as_nanos() as u64;
-        self.stat_ns[2] += (t3 - t2).as_nanos() as u64;
         let now = self.now;
         // Disjoint field borrows: `fair` is read while `flows` is written.
         let flows = &mut self.flows;
@@ -752,9 +738,6 @@ impl Scheduler {
     /// Fire everything scheduled at exactly `t` (flows and timers).
     // simlint::hot_root — timer drain + flow completion: runs once per event batch
     fn fire_events_at(&mut self, t: SimTime) {
-        // simlint::allow(wall-clock) — perf counters for stat_ns diagnostics; never feeds sim time
-        let te = std::time::Instant::now();
-        self.stat_ns[3] = self.stat_ns[3].wrapping_add(te.elapsed().as_nanos() as u64);
         self.settle_to(t);
         // Timers first: their parents may be sequences that feed flows.
         while let Some(Reverse(timer)) = self.timers.peek() {

@@ -8,13 +8,12 @@
 //! ```
 
 use benchkit::chaos::{
-    chaos_space, default_chaos_spec, parse_schedule, replay_archived, run_planned_case,
-    schedule_json, shrink_failing,
+    default_chaos_spec, parse_schedule, replay, run_case, schedule_json, shrink, Family, Faulted,
 };
 use benchkit::faulted::FaultedScenario;
 use cluster::Calibration;
 use daos_core::TargetId;
-use simkit::{generate, ChaosConfig, FaultAction, FaultPlan, SimTime};
+use simkit::{FaultAction, FaultPlan, SimTime};
 
 fn main() {
     let mut spec = default_chaos_spec();
@@ -23,8 +22,7 @@ fn main() {
     let scen = FaultedScenario::IorEasyRp2;
 
     // --- 1. seeded generation: the swarm's schedules come from here -----
-    let space = chaos_space(&spec, &cal);
-    let sampled = generate(&space, &ChaosConfig::default(), 7);
+    let sampled = Faulted.seed_plan(&spec, scen, &cal, 7);
     println!("seed 7 samples {} fault events:", sampled.len());
     println!("{}\n", sampled.to_json());
 
@@ -63,13 +61,13 @@ fn main() {
         ),
     );
 
-    let verdict = run_planned_case(&spec, scen, &cal, 0xBAD, plan.clone());
+    let verdict = run_case(&Faulted, &spec, scen, &cal, 0xBAD, plan.clone());
     println!("planted schedule ({} events):", plan.len());
     println!("{}", verdict.render_line());
     print!("{}", verdict.oracle.render());
 
     // --- 3. shrink to the minimal reproducer ------------------------------
-    let outcome = shrink_failing(&spec, scen, &cal, &plan);
+    let outcome = shrink(&Faulted, &spec, scen, &cal, &plan);
     println!(
         "\nshrunk {} -> {} events in {} probes ({} dropped, {} windows tightened):",
         plan.len(),
@@ -83,8 +81,8 @@ fn main() {
     // --- 4. archive and replay byte-identically ---------------------------
     let json = schedule_json(scen.name(), 0xBAD, &spec, &outcome.plan);
     let arch = parse_schedule(&json).expect("artifact parses");
-    let direct = run_planned_case(&spec, scen, &cal, 0xBAD, outcome.plan.clone());
-    let replayed = replay_archived(&arch, &cal).expect("artifact replays");
+    let direct = run_case(&Faulted, &spec, scen, &cal, 0xBAD, outcome.plan.clone());
+    let replayed = replay(&arch, &cal).expect("artifact replays");
     println!("archived artifact:\n{json}\n");
     println!(
         "replay digest {:#018x} == direct digest {:#018x}: {}",
