@@ -34,9 +34,9 @@ fn bench_fairshare(c: &mut Criterion) {
             let mut fs = FairShare::new();
             fs.set_tolerance(tol);
             b.iter(|| {
-                fs.begin(n_res);
+                fs.clear();
                 for (i, path) in flows.iter().enumerate() {
-                    fs.add_flow(i as u32, path);
+                    fs.insert(i as u32, path);
                 }
                 fs.solve(&caps)
             });

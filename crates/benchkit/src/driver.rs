@@ -169,18 +169,6 @@ pub fn run_phase<W: ProcWorkload>(sched: &mut Scheduler, wl: &mut W) -> PhaseRes
         result.seconds = sched.now().secs_since(t0);
     }
     result.bytes += finalize_bytes;
-
-    // simlint::allow(env-dependent-sim) — opt-in diagnostics printout; no effect on results
-    if std::env::var_os("SIMKIT_DIAG").is_some() {
-        eprintln!(
-            "[diag] recomputes={} flow_visits={} fill_iters={} ({} procs x {} ops)",
-            sched.stat_recomputes,
-            sched.stat_flow_visits,
-            sched.stat_fill_iters,
-            procs,
-            ops_per_proc
-        );
-    }
     result
 }
 

@@ -76,17 +76,28 @@ enum Cont {
     Span { id: SpanId, parent: Parent },
 }
 
-#[derive(Debug)]
-struct Flow {
+/// Fluid state of one flow, kept in a dense array indexed by flow-slab
+/// key so settle, the deadline pass and the done-scan walk contiguous
+/// memory.  The flow's rate and path live in the [`FairShare`] table
+/// under the same key.
+#[derive(Debug, Clone, Copy)]
+struct FlowState {
     remaining: Bytes,
-    rate: Rate,
     deadline: SimTime,
     /// Residual below which the flow counts as finished: a safety net
     /// against f64 settlement drift, scaled to the flow's size so tiny
     /// transfers are not cut short measurably.
     eps: Bytes,
-    path: Vec<ResourceId>,
-    parent: Parent,
+}
+
+impl FlowState {
+    /// A vacant key: never due and never finished (its rate is zero, so
+    /// settle skips it and the deadline pass gives it `NEVER`).
+    const VACANT: FlowState = FlowState {
+        remaining: Bytes(f64::INFINITY),
+        deadline: SimTime::NEVER,
+        eps: Bytes(0.0),
+    };
 }
 
 #[derive(Debug)]
@@ -164,7 +175,10 @@ pub struct Scheduler {
     /// these, so `scale: 1.0` restores exactly the original rate.
     base_caps: Vec<Rate>,
     names: Vec<String>,
-    flows: Slab<Flow>,
+    /// In-flight flows: the slab hands out the keys and holds each
+    /// flow's parent; `flow_state` and `fair` hold the rest by key.
+    flows: Slab<Parent>,
+    flow_state: Vec<FlowState>,
     conts: Slab<Cont>,
     timers: BinaryHeap<Reverse<Timer>>,
     timer_seq: u64,
@@ -193,12 +207,6 @@ pub struct Scheduler {
     quantum_ns: u64,
     /// Optional completion trace.
     trace: Trace,
-    /// Diagnostics: number of rate recomputations performed.
-    pub stat_recomputes: u64,
-    /// Diagnostics: total flows enumerated across recomputations.
-    pub stat_flow_visits: u64,
-    /// Diagnostics: total progressive-filling iterations.
-    pub stat_fill_iters: u64,
 }
 
 impl Default for Scheduler {
@@ -217,6 +225,7 @@ impl Scheduler {
             base_caps: Vec::new(),
             names: Vec::new(),
             flows: Slab::new(),
+            flow_state: Vec::new(),
             conts: Slab::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
@@ -232,9 +241,6 @@ impl Scheduler {
             tel_ids: None,
             quantum_ns: 0,
             trace: Trace::disabled(),
-            stat_recomputes: 0,
-            stat_flow_visits: 0,
-            stat_fill_iters: 0,
         }
     }
 
@@ -524,14 +530,17 @@ impl Scheduler {
                         self.telemetry.gauge_incr(g, self.now);
                     }
                 }
-                self.flows.insert(Flow {
+                let key = self.flows.insert(parent);
+                self.fair.insert(key, &path);
+                let state = FlowState {
                     remaining: Bytes(units),
-                    rate: Rate::ZERO,
                     deadline: SimTime::NEVER,
                     eps: Bytes(units * 1e-9),
-                    path,
-                    parent,
-                });
+                };
+                match self.flow_state.get_mut(key as usize) {
+                    Some(slot) => *slot = state,
+                    None => self.grow_flow_state(key, state),
+                }
                 self.rates_dirty = true;
             }
             Step::Seq(mut steps) => {
@@ -587,6 +596,12 @@ impl Scheduler {
                 self.exec(*inner, Parent::Cont(cid), id);
             }
         }
+    }
+
+    // simlint::amortized — grows the dense flow-state array to the highest slab key; keys are reused, so this stops once the flow count peaks
+    fn grow_flow_state(&mut self, key: u32, state: FlowState) {
+        self.flow_state.resize(key as usize, FlowState::VACANT);
+        self.flow_state.push(state);
     }
 
     fn complete_parent(&mut self, mut parent: Parent) {
@@ -657,13 +672,14 @@ impl Scheduler {
         let dt = t.secs_since(t0);
         if dt > 0.0 {
             let monitor_on = self.monitor.is_enabled();
-            // simlint::allow(hot-state-scan) — the fluid model settles every live flow across the elapsed interval; recompute coalescing (set_coalescing) bounds how often this runs per event batch
-            for (_, f) in self.flows.iter_mut() {
-                if f.rate > Rate::ZERO {
-                    let moved = f.rate.bytes_in(dt).min(f.remaining);
+            let rates = self.fair.rates();
+            // simlint::allow(hot-state-scan) — the fluid model moves every flow with a non-zero rate across the elapsed interval; the walk is over the dense per-key state (vacant keys have rate zero), and coalescing (set_coalescing) bounds how often it runs
+            for (key, (f, &rate)) in self.flow_state.iter_mut().zip(rates).enumerate() {
+                if rate > Rate::ZERO {
+                    let moved = rate.bytes_in(dt).min(f.remaining);
                     f.remaining -= moved;
                     if monitor_on {
-                        for &r in &f.path {
+                        for &r in self.fair.path(key as u32) {
                             self.monitor.credit(r, moved.get(), t0, t);
                         }
                     }
@@ -674,34 +690,21 @@ impl Scheduler {
         self.now = t;
     }
 
-    /// Recompute max-min fair rates and flow deadlines.
+    /// Recompute max-min fair rates and flow deadlines.  The fair-share
+    /// table already holds the live flows (inserted and removed as they
+    /// start and finish), so this is settle, solve and the deadline pass.
     fn recompute_rates(&mut self) {
         self.settle_to(self.now);
-        self.fair.begin(self.caps.len());
-        // simlint::allow(hot-state-scan) — a full re-share is the max-min model: every live flow's rate may change when any flow joins or leaves; incremental re-solve is ROADMAP item 2
-        for (key, f) in self.flows.iter() {
-            self.fair.add_flow(key, &f.path);
-        }
-        self.stat_recomputes += 1;
-        self.stat_flow_visits += self.flows.len() as u64;
         let fill_iters = self.fair.solve(&self.caps) as u64;
-        self.stat_fill_iters += fill_iters;
         if let Some(ids) = self.tel_ids {
             self.telemetry.counter_add(ids.resolves, self.now, 1);
             self.telemetry
                 .counter_add(ids.fill_iters, self.now, fill_iters);
         }
         let now = self.now;
-        // Disjoint field borrows: `fair` is read while `flows` is written.
-        let flows = &mut self.flows;
         let mut deadline_min = SimTime::NEVER;
-        for (key, rate) in self.fair.results() {
-            // A result for a flow that completed during this recompute
-            // needs no deadline; skipping is safe where a panic is not.
-            let Some(f) = flows.get_mut(key) else {
-                continue;
-            };
-            f.rate = rate;
+        // simlint::allow(hot-state-scan) — a re-solve may change every live flow's rate, so every deadline is recomputed; the walk is over the dense per-key state, and vacant keys (rate zero, infinite residual) come out `NEVER`
+        for (f, &rate) in self.flow_state.iter_mut().zip(self.fair.rates()) {
             f.deadline = if f.remaining <= f.eps {
                 now
             } else if rate <= Rate::ZERO {
@@ -723,8 +726,8 @@ impl Scheduler {
         // fallback never runs from `run_for` (it recomputes first) but
         // keeps direct callers correct.
         let t_flow = if self.rates_dirty {
-            // simlint::allow(hot-state-scan) — dirty-rate fallback only; the event loop recomputes (refreshing the cached minimum) before asking for the next event
-            self.flows.iter().map(|(_, f)| f.deadline).min()
+            // simlint::allow(hot-state-scan) — dirty-rate fallback for direct callers only; `run_for` recomputes, which refreshes the cached minimum, before it asks for the next event
+            self.flow_state.iter().map(|f| f.deadline).min()
         } else {
             Some(self.flow_deadline_min)
         }
@@ -757,27 +760,37 @@ impl Scheduler {
         // `&mut self`, so the keys cannot be drained while iterating).
         let mut done = std::mem::take(&mut self.done_scratch);
         done.clear();
+        let fair = &self.fair;
         done.extend(
-            self.flows
-                // simlint::allow(hot-state-scan) — batch completion must inspect every live flow's deadline once; the settle pass already touched them all in this event
+            self.flow_state
+                // simlint::allow(hot-state-scan) — batch completion checks every flow's deadline once, over the dense per-key state the settle pass just walked; there is no deadline index to consult instead
                 .iter()
-                .filter(|(_, f)| f.deadline <= t || f.remaining <= f.eps)
-                .map(|(k, _)| k),
+                .enumerate()
+                // Vacant keys read deadline `NEVER`, which a timer
+                // saturated to `NEVER` makes due; only live keys complete.
+                .filter(|(k, f)| {
+                    (f.deadline <= t || f.remaining <= f.eps) && fair.contains(*k as u32)
+                })
+                .map(|(k, _)| k as u32),
         );
         for &key in &done {
-            let flow = self.flows.remove(key);
-            self.rates_dirty = true;
             if let Some(ids) = self.tel_ids {
                 self.telemetry.counter_add(ids.flow_completes, self.now, 1);
                 self.telemetry.gauge_decr(ids.flows, self.now);
-                for &r in &flow.path {
+                for &r in self.fair.path(key) {
                     let g = self
                         .telemetry
                         .resource_gauge(r.0 as usize, &self.names[r.0 as usize]);
                     self.telemetry.gauge_decr(g, self.now);
                 }
             }
-            self.complete_parent(flow.parent);
+            // Vacate the key everywhere before the parent runs: its
+            // continuation may start a flow that reuses it.
+            self.fair.remove(key);
+            self.flow_state[key as usize] = FlowState::VACANT;
+            let parent = self.flows.remove(key);
+            self.rates_dirty = true;
+            self.complete_parent(parent);
         }
         self.done_scratch = done;
     }

@@ -40,7 +40,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite(), "negative or non-finite time");
-        SimTime((s * 1e9).ceil() as u64)
+        SimTime(ceil_to_u64(s * 1e9))
     }
 
     /// Nanoseconds since time zero.
@@ -65,6 +65,21 @@ impl SimTime {
     #[inline]
     pub fn secs_since(self, earlier: SimTime) -> f64 {
         self.nanos_since(earlier) as f64 / 1e9
+    }
+}
+
+/// `x.ceil() as u64` without the `ceil` call, which is a libm call on
+/// the baseline x86-64 target and sits on the engine's deadline pass.
+/// Truncate, then bump if anything was cut off; the saturating casts make
+/// this equal to `ceil() as u64` for every `f64`, including NaN (0),
+/// negatives (0), `+inf` and values at or above 2^64 (`u64::MAX`).
+#[inline]
+fn ceil_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if (t as f64) < x {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -123,6 +138,62 @@ mod tests {
         // 1ns expressed in seconds must not round down to zero.
         assert_eq!(SimTime::from_secs_f64(1e-9).as_nanos(), 1);
         assert_eq!(SimTime::from_secs_f64(1.0000000001e-9).as_nanos(), 2);
+    }
+
+    #[test]
+    fn ceil_to_u64_matches_ceil_cast_on_edge_values() {
+        let two53 = 9_007_199_254_740_992.0f64;
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            two53 - 1.0,
+            two53,
+            // 2^53 + 1 rounds to 2^53; the next f64 up is 2^53 + 2.
+            two53 + 1.0,
+            two53 + 2.0,
+            two53 - 0.5,
+            two64,
+            f64::from_bits(two64.to_bits() - 1),
+            two64 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(
+                ceil_to_u64(x),
+                x.ceil() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern: subnormals, huge values, NaN payloads, both signs.
+        #[test]
+        fn ceil_to_u64_matches_ceil_cast(bits in proptest::prelude::any::<u64>()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(ceil_to_u64(x), x.ceil() as u64);
+        }
+
+        /// Values near whole nanoseconds, where the bump decides.
+        #[test]
+        fn ceil_to_u64_matches_ceil_cast_near_integers(n in 0u64..1u64 << 60, ulps in 0u64..4) {
+            let x = f64::from_bits((n as f64).to_bits() + ulps);
+            proptest::prop_assert_eq!(ceil_to_u64(x), x.ceil() as u64);
+        }
     }
 
     #[test]

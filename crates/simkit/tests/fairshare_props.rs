@@ -18,10 +18,9 @@ fn scenario() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<u32>>)> {
 
 fn solve(caps: &[f64], flows: &[Vec<u32>]) -> Vec<f64> {
     let mut fs = FairShare::new();
-    fs.begin(caps.len());
     for (i, path) in flows.iter().enumerate() {
         let p: Vec<ResourceId> = path.iter().map(|&r| ResourceId(r)).collect();
-        fs.add_flow(i as u32, &p);
+        fs.insert(i as u32, &p);
     }
     let caps: Vec<Rate> = caps.iter().map(|&c| Rate(c)).collect();
     fs.solve(&caps);
