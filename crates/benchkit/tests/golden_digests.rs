@@ -10,8 +10,9 @@
 //! (`cargo run --release -p bench --example replay_digests` prints the
 //! digests) and say why in CHANGES.md.
 
-use benchkit::{replay_all, RunSpec, Scenario};
+use benchkit::{replay_all, Family, Faulted, Integrity, Rebalance, RunSpec, Scenario};
 use cluster::Calibration;
+use daos_core::{CsumStats, ScrubReport};
 
 /// `(scenario, replay digest, write bandwidth bits, read bandwidth bits)`.
 const GOLDEN: [(Scenario, u64, u64, u64); 12] = [
@@ -118,6 +119,138 @@ fn every_scenario_matches_its_recorded_schedule() {
     assert!(
         mismatches.is_empty(),
         "schedule moved:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// The seed every background-engine scenario runs at in
+/// [`BACKGROUND`].
+const BACKGROUND_SEED: u64 = 3;
+
+/// `(scenario, replay digest, checksum counters, scrub progress)` of one
+/// seeded, audited case per scenario of the three families that drive
+/// daos-core's background work: the faulted family (rebuild after a
+/// crash), the rebalance family (migration waves, then rebuild) and the
+/// integrity family (scrub and repair under bit rot).  The twelve-scenario
+/// table above never runs rebuild, migration or scrub; this one pins
+/// their schedules and their counters.  A mismatch prints the values to
+/// re-record.
+type BackgroundPin = (&'static str, u64, CsumStats, Option<ScrubReport>);
+
+const BACKGROUND: [BackgroundPin; 9] = [
+    (
+        "IOR-easy/RP_2+crash",
+        0x1c1e_f017_e965_350d,
+        csum([352, 1, 1, 1048576, 0, 0]),
+        None,
+    ),
+    (
+        "IOR-hard/EC_2P1+crash",
+        0x23a0_195d_9abf_10b0,
+        csum([352, 1, 1, 524288, 0, 0]),
+        None,
+    ),
+    (
+        "FieldIO/EC_2P1+crash",
+        0x7811_39b1_50bf_0111,
+        csum([4224, 1, 1, 512, 0, 0]),
+        None,
+    ),
+    (
+        "rebalance/IOR-easy/RP_2",
+        0x69c8_5a96_a9cf_3c9c,
+        csum([352, 0, 0, 0, 0, 0]),
+        None,
+    ),
+    (
+        "rebalance/IOR-hard/EC_2P1",
+        0xa98c_e3cf_0a71_840b,
+        csum([352, 0, 0, 0, 0, 0]),
+        None,
+    ),
+    (
+        "rebalance/IOR-easy/S1",
+        0x27d8_7200_60f8_a38e,
+        csum([352, 0, 0, 0, 0, 0]),
+        None,
+    ),
+    (
+        "integrity/scrub-read-race",
+        0xf64c_f482_f265_2886,
+        csum([384, 4, 4, 4194304, 0, 0]),
+        Some(scrub([32, 33554432, 2, 2, 0, 4, 1])),
+    ),
+    (
+        "integrity/rot-under-rebalance",
+        0xac62_7abe_8dd5_7574,
+        csum([352, 2, 2, 2097152, 0, 0]),
+        None,
+    ),
+    (
+        "integrity/rot-beyond-redundancy",
+        0xfe5a_5595_2e04_cb64,
+        csum([361, 34, 0, 0, 17, 0]),
+        None,
+    ),
+];
+
+/// `CsumStats` from `[verified, detected, repaired, repaired_bytes,
+/// unrepairable, served_corrupt]`.
+const fn csum(v: [u64; 6]) -> CsumStats {
+    CsumStats {
+        verified: v[0],
+        detected: v[1],
+        repaired: v[2],
+        repaired_bytes: v[3],
+        unrepairable: v[4],
+        served_corrupt: v[5],
+    }
+}
+
+/// `ScrubReport` from `[units_scanned, bytes_scanned, detected, repaired,
+/// unrepairable, waves, passes]`.
+const fn scrub(v: [u64; 7]) -> ScrubReport {
+    ScrubReport {
+        units_scanned: v[0],
+        bytes_scanned: v[1],
+        detected: v[2],
+        repaired: v[3],
+        unrepairable: v[4],
+        waves: v[5],
+        passes: v[6],
+    }
+}
+
+/// Run every scenario of `fam` at [`BACKGROUND_SEED`] and describe each
+/// result that differs from its pinned row.
+fn background_mismatches<F: Family>(fam: &F, cal: &Calibration) -> Vec<String> {
+    let spec = fam.default_spec();
+    let mut out = Vec::new();
+    for &scen in F::SCENARIOS {
+        let name = fam.scenario_name(scen);
+        let plan = fam.seed_plan(&spec, scen, cal, BACKGROUND_SEED);
+        let (run, _) = fam.run_plan(&spec, scen, cal, &plan, false);
+        let got = (run.digest, run.csum, run.scrub);
+        match BACKGROUND.iter().find(|row| row.0 == name) {
+            Some(&(_, digest, csum, scrub)) if got == (digest, csum, scrub) => {}
+            pinned => out.push(format!(
+                "{name}: got ({:#018x}, {:?}, {:?}), pinned {pinned:?}",
+                got.0, got.1, got.2
+            )),
+        }
+    }
+    out
+}
+
+#[test]
+fn background_engines_match_their_recorded_schedules() {
+    let cal = Calibration::default();
+    let mut mismatches = background_mismatches(&Faulted, &cal);
+    mismatches.extend(background_mismatches(&Rebalance, &cal));
+    mismatches.extend(background_mismatches(&Integrity, &cal));
+    assert!(
+        mismatches.is_empty(),
+        "background schedule moved:\n{}",
         mismatches.join("\n")
     );
 }

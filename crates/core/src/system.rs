@@ -15,22 +15,28 @@
 //!
 //! Benchmarks submit the returned steps to the scheduler; nothing in this
 //! crate talks to the engine directly, which keeps all semantics unit
-//! testable without simulation.
+//! testable without simulation.  Membership changes with rebuild and
+//! rebalance live in `moves`, checksums and the scrubber in `integrity`,
+//! and the durability oracles in `audit`.
+
+mod audit;
+mod integrity;
+mod moves;
+
+pub use integrity::{CsumStats, ScrubReport};
+pub use moves::{MigrationProgress, RebalanceReport};
 
 use crate::class::ObjectClass;
 use crate::container::{Container, ContainerId, ContainerProps, ObjectEntry};
-use crate::data::{
-    ArrayData, CellAvailability, CsumMismatch, DataError, DataMode, KvData, ObjData,
-};
+use crate::data::{ArrayData, CellAvailability, DataError, DataMode, KvData, ObjData};
 use crate::ec::ErasureCode;
-use crate::ledger::{
-    content_digest, AckedValue, DurabilityLedger, OracleKind, OracleReport, Violation,
-};
+use crate::ledger::DurabilityLedger;
 use crate::oid::{Oid, FLAG_KV};
 use crate::pool::{PoolMap, TargetId};
-use crate::rebuild::{pick_replacement, RebuildReport};
 use cluster::payload::{Payload, ReadPayload};
 use cluster::{units, Calibration, Topology};
+use integrity::{RotState, ScrubState};
+use moves::MigrationState;
 use simkit::{ResourceId, Scheduler, Step};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -85,233 +91,16 @@ struct ServerRes {
     tgt_svc: Vec<ResourceId>,
 }
 
-/// One planned shard move, addressed by `(container, object, group,
-/// member)` so re-planning after a crash overwrites rather than
-/// duplicates.  The key orders the pending set deterministically, which
-/// makes wave emission (and therefore the replay digest) independent of
-/// planning order.
-type MoveKey = (u32, Oid, usize, usize);
-
-/// Source/destination/bytes of one planned shard move.
-#[derive(Debug, Clone)]
-struct MovePlan {
-    sources: Vec<TargetId>,
-    read_each: f64,
-    dst: TargetId,
-    write_bytes: f64,
-}
-
-/// The background data-migration engine's bookkeeping: planned moves not
-/// yet shipped, plus progress counters.  Lives inside [`DaosSystem`] and
-/// is therefore replay-visible simulation state: waves pop moves in key
-/// order, and every wave is validated against the *current* pool map and
-/// layouts, so a crash (and the rebuild it triggers) simply invalidates
-/// the stale moves — migration resumes with whatever is still correct.
-#[derive(Debug, Clone, Default)]
-struct MigrationState {
-    pending: BTreeMap<MoveKey, MovePlan>,
-    moves_done: usize,
-    moves_dropped: usize,
-    moved_bytes: f64,
-}
-
-/// Progress of the background migration engine
-/// ([`DaosSystem::migration_progress`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MigrationProgress {
-    /// Moves shipped in completed waves.
-    pub moves_done: usize,
-    /// Planned moves dropped at wave time because a crash/rebuild made
-    /// them stale (object gone, layout remapped, destination down).
-    pub moves_dropped: usize,
-    /// Logical bytes shipped by completed waves.
-    // simlint::dim(bytes)
-    pub moved_bytes: f64,
-}
-
-impl MigrationProgress {
-    /// Publish migration progress into a telemetry registry as
-    /// `daos.migration.*` counters recorded at `at`.  Wave activity over
-    /// time is already visible through the engine's span-open counters
-    /// (`span.migration.wave`); these totals add the dropped-move and
-    /// shipped-byte bookkeeping only the migration engine knows.  No-op
-    /// on a disabled registry.
-    pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.migration.moves_done", self.moves_done as u64),
-            ("daos.migration.moves_dropped", self.moves_dropped as u64),
-            // simlint::dim(bytes)
-            ("daos.migration.moved_bytes", self.moved_bytes as u64),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
+impl ServerRes {
+    /// Create server `s`'s engine pipe and per-target services.
+    fn new(sched: &mut Scheduler, cal: &Calibration, s: usize) -> ServerRes {
+        ServerRes {
+            engine_xfer: sched.add_resource(format!("daos{s}.engine"), cal.engine_xfer_bw),
+            tgt_svc: (0..cal.targets_per_server)
+                .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), cal.target_svc_iops))
+                .collect(),
         }
     }
-}
-
-/// Outcome of a rebalance planning pass
-/// ([`DaosSystem::rebalance_plan`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RebalanceReport {
-    /// Objects examined across all containers.
-    pub objects_scanned: usize,
-    /// Shard moves planned (layouts already remapped).
-    pub moves_planned: usize,
-    /// Logical bytes the planned moves will ship.
-    // simlint::dim(bytes)
-    pub bytes_planned: f64,
-    /// Drained shards left in place because no destination was
-    /// available; they are lost when the drain completes.
-    pub moves_skipped: usize,
-}
-
-/// Which stored copies of each datum are currently bit-rotten.
-///
-/// The data layer stores one logical copy per chunk/value, so a rot
-/// event flips the physical byte **once** and this registry records
-/// which replica shards / EC cells the rot notionally hit.  Verified
-/// reads and the scrubber recompute checksums to *detect* the flip,
-/// then consult the registry to decide repairability: replication
-/// repairs while at least one replica is clean, erasure coding while
-/// the distinct rotten cells fit within `p`, and plain sharding never.
-/// Repair re-flips the registered byte (xor with `0xFF` is an
-/// involution), modelling a rewrite from the reconstructed content,
-/// and drops the entry.  Every entry therefore corresponds to exactly
-/// one still-flipped physical byte — the invariant that makes repair
-/// by re-flip sound.
-// simlint::sim_state — replay-visible simulation state
-#[derive(Debug, Clone, Default)]
-struct RotState {
-    /// Array rot: `(container, object)` → flipped byte offset → shard
-    /// copies hit (replica index, or derived EC data-cell index).
-    extents: BTreeMap<(u32, Oid), BTreeMap<u64, BTreeSet<u64>>>,
-    /// EC parity rot: `(container, object)` → set of `(chunk offset,
-    /// parity cell index)` flips — parity bytes no logical offset
-    /// addresses.
-    parity: BTreeMap<(u32, Oid), BTreeSet<(u64, u64)>>,
-    /// KV rot: `(container, object)` → key → replica copies hit.
-    kv: BTreeMap<(u32, Oid), BTreeMap<Vec<u8>, BTreeSet<u64>>>,
-}
-
-impl RotState {
-    fn touches(&self, key: &(u32, Oid)) -> bool {
-        self.extents.contains_key(key) || self.parity.contains_key(key) || self.kv.contains_key(key)
-    }
-}
-
-/// End-to-end checksum activity counters ([`DaosSystem::csum_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CsumStats {
-    /// Chunk/value verifications performed (reads, writes, scrubber).
-    pub verified: u64,
-    /// Rotten shard copies (replica copies / EC cells) detected.
-    pub detected: u64,
-    /// Rotten shard copies transparently repaired.
-    pub repaired: u64,
-    /// Bytes rewritten by transparent repair.
-    // simlint::dim(bytes)
-    pub repaired_bytes: u64,
-    /// Verification units whose rot exceeded the class redundancy: the
-    /// access fails with [`DaosError::BadChecksum`] instead of serving.
-    pub unrepairable: u64,
-    /// Corrupt payloads served to clients.  **Must stay zero** — the
-    /// verified read path refuses rather than serves; the counter
-    /// exists so the `CounterCeiling` SLO rule can witness the
-    /// invariant in every run report.
-    pub served_corrupt: u64,
-}
-
-impl CsumStats {
-    /// Publish the checksum counters into a telemetry registry as
-    /// `daos.csum.*` counters recorded at `at`.  No-op on a disabled
-    /// registry.
-    pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.csum.verified", self.verified),
-            ("daos.csum.detected", self.detected),
-            ("daos.csum.repaired", self.repaired),
-            // simlint::dim(bytes)
-            ("daos.csum.repaired_bytes", self.repaired_bytes),
-            ("daos.csum.unrepairable", self.unrepairable),
-            ("daos.csum.served_corrupt", self.served_corrupt),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
-    }
-}
-
-/// Progress of the background scrubber ([`DaosSystem::scrub_progress`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Scan units verified (array chunks and KV values).
-    pub units_scanned: u64,
-    /// Stored bytes the scan read.
-    // simlint::dim(bytes)
-    pub bytes_scanned: u64,
-    /// Rotten copies the scrubber detected (before any read hit them).
-    pub detected: u64,
-    /// Rotten copies the scrubber repaired.
-    pub repaired: u64,
-    /// Units whose rot exceeded the class redundancy; left in place for
-    /// reads to refuse loudly and the durability oracle to name.
-    pub unrepairable: u64,
-    /// Waves emitted.
-    pub waves: u64,
-    /// Full passes completed over the scan domain.
-    pub passes: u64,
-}
-
-impl ScrubReport {
-    /// Publish scrubber progress into a telemetry registry as
-    /// `daos.scrub.*` counters recorded at `at`.  No-op on a disabled
-    /// registry.
-    pub fn publish(&self, tel: &mut simkit::Telemetry, at: simkit::SimTime) {
-        if !tel.is_enabled() {
-            return;
-        }
-        for (name, value) in [
-            ("daos.scrub.units_scanned", self.units_scanned),
-            // simlint::dim(bytes)
-            ("daos.scrub.bytes_scanned", self.bytes_scanned),
-            ("daos.scrub.detected", self.detected),
-            ("daos.scrub.repaired", self.repaired),
-            ("daos.scrub.unrepairable", self.unrepairable),
-            ("daos.scrub.waves", self.waves),
-            ("daos.scrub.passes", self.passes),
-        ] {
-            let id = tel.counter(name);
-            tel.counter_add(id, at, value);
-        }
-    }
-}
-
-/// The background scrubber's bookkeeping: whether a pass is running,
-/// the resume cursor, and cumulative progress.  Replay-visible
-/// simulation state — the cursor is exactly what makes a pass resume
-/// byte-identically after a mid-scrub crash.
-// simlint::sim_state — replay-visible simulation state
-#[derive(Debug, Clone, Default)]
-struct ScrubState {
-    active: bool,
-    /// Next `(container, object, unit)` to scan; `None` while active
-    /// means start from the beginning.
-    cursor: Option<(u32, Oid, u64)>,
-    report: ScrubReport,
-}
-
-/// One unit of scrub work collected by the scan phase.
-enum ScrubUnit {
-    /// An array chunk and its verification result.
-    Chunk(u64, Option<CsumMismatch>),
-    /// A KV key and whether its value verified.
-    Key(Vec<u8>, bool),
 }
 
 /// A deployed DAOS pool with its API.
@@ -367,12 +156,7 @@ impl DaosSystem {
         assert!(servers >= 1 && servers <= topo.server_count());
         let cal = topo.cal.clone();
         let srv_res = (0..servers)
-            .map(|s| ServerRes {
-                engine_xfer: sched.add_resource(format!("daos{s}.engine"), cal.engine_xfer_bw),
-                tgt_svc: (0..cal.targets_per_server)
-                    .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), cal.target_svc_iops))
-                    .collect(),
-            })
+            .map(|s| ServerRes::new(sched, &cal, s))
             .collect();
         let pool_md_svc = sched.add_resource("daos.pool_md", cal.pool_md_iops);
         DaosSystem {
@@ -417,45 +201,6 @@ impl DaosSystem {
     /// Number of engines (server nodes) in the pool.
     pub fn server_count(&self) -> usize {
         self.pool.server_count()
-    }
-
-    /// Exclude a target: new placements avoid it and reads of its shards
-    /// go degraded (replica fail-over / EC reconstruction).
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
-    pub fn exclude_target(&mut self, t: TargetId) {
-        self.pool.exclude(t);
-    }
-
-    /// Exclude every target of a server node.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
-    pub fn exclude_server(&mut self, server: u16) {
-        self.pool.exclude_server(server);
-    }
-
-    /// Reintegrate a target.
-    // simlint::allow(digest-taint) — admin/API surface not yet driven by any digest scenario; wire into a scenario before relying on replay to witness it
-    pub fn reintegrate_target(&mut self, t: TargetId) {
-        self.pool.reintegrate(t);
-    }
-
-    /// A target crashes *mid-run* (fault injection): excluded like
-    /// [`DaosSystem::exclude_target`], but the failure is initially
-    /// **undetected** — the first data-path operation from each client
-    /// node that touches the target fails with
-    /// [`DaosError::TargetDown`], and only the retry (against the
-    /// refreshed pool map) takes the degraded path.
-    // simlint::panic_root — fault-handling path: must never panic
-    pub fn crash_target(&mut self, t: TargetId) {
-        self.pool.exclude(t);
-        self.undetected.entry(t).or_default();
-    }
-
-    /// A crashed target returns: reintegrated and no longer reported as
-    /// newly-down to any client.
-    // simlint::panic_root — fault-handling path: must never panic
-    pub fn restart_target(&mut self, t: TargetId) {
-        self.pool.reintegrate(t);
-        self.undetected.remove(&t);
     }
 
     /// Inject (or with `extra_ns == 0` clear) a per-server completion
@@ -634,12 +379,12 @@ impl DaosSystem {
             .containers
             .get_mut(id.0 as usize)
             .ok_or(DaosError::NoSuchContainer)?;
-        if slot.take().is_none() {
+        let Some(cont) = slot.take() else {
             return Err(DaosError::NoSuchContainer);
+        };
+        for &oid in cont.objects.keys() {
+            self.rot.forget_object(&(id.0, oid));
         }
-        self.rot.extents.retain(|&(c, _), _| c != id.0);
-        self.rot.parity.retain(|&(c, _), _| c != id.0);
-        self.rot.kv.retain(|&(c, _), _| c != id.0);
         if let Some(l) = self.ledger.as_mut() {
             l.record_cont_destroy(id);
         }
@@ -719,18 +464,8 @@ impl DaosSystem {
         class: ObjectClass,
         chunk_size: u64,
     ) -> Result<(Oid, Step), DaosError> {
-        let pool = self.pool.clone();
-        let c = self.cont_mut(cid)?;
-        let oid = c.alloc.next(class, 0);
-        let layout = pool.layout_salted(&oid, class, cid.0 as u64 + 1);
-        c.objects.insert(
-            oid,
-            ObjectEntry {
-                layout,
-                data: ObjData::Array(ArrayData::new(chunk_size)),
-            },
-        );
-        Ok((oid, self.client_overhead()))
+        let data = ObjData::Array(ArrayData::new(chunk_size));
+        self.obj_create(cid, class, 0, data)
     }
 
     /// Create a Key-Value object.
@@ -744,17 +479,26 @@ impl DaosSystem {
         if !class.supports_kv() {
             return Err(DaosError::InvalidClass);
         }
-        let pool = self.pool.clone();
-        let c = self.cont_mut(cid)?;
-        let oid = c.alloc.next(class, FLAG_KV);
-        let layout = pool.layout_salted(&oid, class, cid.0 as u64 + 1);
-        c.objects.insert(
-            oid,
-            ObjectEntry {
-                layout,
-                data: ObjData::Kv(KvData::new()),
-            },
-        );
+        self.obj_create(cid, class, FLAG_KV, ObjData::Kv(KvData::new()))
+    }
+
+    /// Allocate an OID with `flags` in container `cid`, place it, and
+    /// store `data` under it.
+    fn obj_create(
+        &mut self,
+        cid: ContainerId,
+        class: ObjectClass,
+        flags: u16,
+        data: ObjData,
+    ) -> Result<(Oid, Step), DaosError> {
+        let c = self
+            .containers
+            .get_mut(cid.0 as usize)
+            .and_then(|c| c.as_mut())
+            .ok_or(DaosError::NoSuchContainer)?;
+        let oid = c.alloc.next(class, flags);
+        let layout = self.pool.layout_salted(&oid, class, cid.0 as u64 + 1);
+        c.objects.insert(oid, ObjectEntry { layout, data });
         Ok((oid, self.client_overhead()))
     }
 
@@ -767,10 +511,7 @@ impl DaosSystem {
     ) -> Result<Step, DaosError> {
         let c = self.cont_mut(cid)?;
         c.objects.remove(&oid).ok_or(DaosError::NoSuchObject)?;
-        let key = (cid.0, oid);
-        self.rot.extents.remove(&key);
-        self.rot.parity.remove(&key);
-        self.rot.kv.remove(&key);
+        self.rot.forget_object(&(cid.0, oid));
         if let Some(l) = self.ledger.as_mut() {
             l.record_punch(cid, oid);
         }
@@ -784,6 +525,39 @@ impl DaosSystem {
 
     // ---- Key-Value API -----------------------------------------------------------
 
+    /// The shard group `key` hashes to, after `client` observed any
+    /// crash among its members.
+    fn kv_group(
+        &mut self,
+        client: usize,
+        cid: ContainerId,
+        oid: Oid,
+        key: &[u8],
+    ) -> Result<Vec<TargetId>, DaosError> {
+        let group = self
+            .obj(cid, oid)?
+            .layout
+            .group_for(dkey_hash(key))
+            .to_vec();
+        self.check_detection(client, &group)?;
+        Ok(group)
+    }
+
+    /// Where a degraded KV update lands: the servable members (drained
+    /// and reintegrating targets still accept updates for shards they
+    /// hold).  A fully-down group cannot accept the update.
+    fn servable_members(&self, group: &[TargetId]) -> Result<Vec<TargetId>, DaosError> {
+        let up: Vec<TargetId> = group
+            .iter()
+            .copied()
+            .filter(|&t| self.pool.is_servable(t))
+            .collect();
+        if up.is_empty() {
+            return Err(DaosError::Unavailable);
+        }
+        Ok(up)
+    }
+
     /// Insert/update a key.  The value lands on the dkey's shard group;
     /// replicated classes write every replica in parallel.
     // simlint::allow(hot-alloc) — op construction: the owned key/value ride the op chain; arena-allocated chains are ROADMAP item 2
@@ -796,34 +570,15 @@ impl DaosSystem {
         value: Payload,
     ) -> Result<Step, DaosError> {
         let bytes = value.len() as f64;
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
-        // degraded writes land on the servable members only (drained and
-        // reintegrating targets still accept updates for shards they
-        // hold); a fully-down group cannot accept the update
-        let up: Vec<TargetId> = group
-            .iter()
-            .copied()
-            .filter(|&t| self.pool.is_servable(t))
-            .collect();
-        if up.is_empty() {
-            return Err(DaosError::Unavailable);
-        }
+        let group = self.kv_group(client, cid, oid, key)?;
+        let up = self.servable_members(&group)?;
         // clone for the ledger before the payload moves into the store
         let acked = self.ledger.is_some().then(|| value.clone());
-        let entry = self.obj_mut(cid, oid)?;
-        match &mut entry.data {
-            ObjData::Kv(kv) => kv.put(key, value),
-            ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-        }
+        self.kv_mut(cid, oid)?.put(key, value);
         // the value (and its checksum) were replaced wholesale: latent
         // rot in the old value is healed, so its registry entry must go
         // before it could mis-direct a later repair re-flip
-        self.rot_clear_kv(cid, oid, key);
+        self.rot.clear_kv(&(cid.0, oid), key);
         if let (Some(l), Some(v)) = (self.ledger.as_mut(), acked) {
             l.record_kv_put(cid, oid, key, &v);
         }
@@ -848,30 +603,19 @@ impl DaosSystem {
         oid: Oid,
         key: &[u8],
     ) -> Result<(ReadPayload, Step), DaosError> {
-        let pool = self.pool.clone();
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
+        let group = self.kv_group(client, cid, oid, key)?;
         // verified read: recompute the stored value checksum and
         // transparently repair rot the replication still covers; rot on
         // every replica refuses loudly instead of serving bad bytes
         let repair = self.kv_verify_repair(cid, oid, key, &group)?;
-        let entry = self.obj(cid, oid)?;
-        let value = match &entry.data {
-            ObjData::Kv(kv) => kv.get(key).ok_or(DaosError::NoSuchKey)?,
-            ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-        };
-        let read = match value {
+        let read = match self.kv(cid, oid)?.get(key).ok_or(DaosError::NoSuchKey)? {
             Payload::Bytes(b) => ReadPayload::Bytes(b.clone()),
             Payload::Sized(n) => ReadPayload::Sized(*n),
         };
         let t = group
             .iter()
             .copied()
-            .find(|&t| pool.is_servable(t))
+            .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
         let bytes = (read.len() as f64).max(64.0);
         let step = Step::span(
@@ -897,29 +641,12 @@ impl DaosSystem {
         oid: Oid,
         key: &[u8],
     ) -> Result<Step, DaosError> {
-        let group: Vec<TargetId> = self
-            .obj(cid, oid)?
-            .layout
-            .group_for(dkey_hash(key))
-            .to_vec();
-        self.check_detection(client, &group)?;
-        let up: Vec<TargetId> = group
-            .iter()
-            .copied()
-            .filter(|&t| self.pool.is_servable(t))
-            .collect();
-        if up.is_empty() {
-            return Err(DaosError::Unavailable);
-        }
-        let entry = self.obj_mut(cid, oid)?;
-        let existed = match &mut entry.data {
-            ObjData::Kv(kv) => kv.remove(key),
-            ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-        };
-        if !existed {
+        let group = self.kv_group(client, cid, oid, key)?;
+        let up = self.servable_members(&group)?;
+        if !self.kv_mut(cid, oid)?.remove(key) {
             return Err(DaosError::NoSuchKey);
         }
-        self.rot_clear_kv(cid, oid, key);
+        self.rot.clear_kv(&(cid.0, oid), key);
         if let Some(l) = self.ledger.as_mut() {
             l.record_kv_remove(cid, oid, key);
         }
@@ -945,18 +672,13 @@ impl DaosSystem {
         oid: Oid,
         prefix: &[u8],
     ) -> Result<(Vec<Vec<u8>>, Step), DaosError> {
-        let pool = self.pool.clone();
-        let entry = self.obj(cid, oid)?;
-        let keys = match &entry.data {
-            ObjData::Kv(kv) => kv.list(prefix),
-            ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-        };
+        let keys = self.kv(cid, oid)?.list(prefix);
         let key_bytes: f64 = keys.iter().map(|k| k.len() as f64).sum::<f64>().max(64.0);
-        let groups = entry.layout.groups.clone();
+        let groups = &self.obj(cid, oid)?.layout.groups;
         let per_group_bytes = key_bytes / groups.len() as f64;
         let reads = groups
             .iter()
-            .filter_map(|g| g.iter().copied().find(|&t| pool.is_servable(t)))
+            .filter_map(|g| g.iter().copied().find(|&t| self.pool.is_servable(t)))
             .map(|t| self.read_from_target(client, t, per_group_bytes))
             .collect::<Vec<_>>();
         let step = Step::span(
@@ -989,28 +711,12 @@ impl DaosSystem {
         if len == 0 {
             return Ok(Step::Noop);
         }
-        let entry = self.obj(cid, oid)?;
-        let layout = entry.layout.clone();
+        let layout = self.obj(cid, oid)?.layout.clone();
         let class = layout.class;
         let ec = self.ec_for(class);
-        // group index -> bytes written to that group
-        let group_bytes = {
-            let entry = self.obj(cid, oid)?;
-            let arr = match &entry.data {
-                ObjData::Array(a) => a,
-                ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-            };
-            let cs = arr.chunk_size();
-            let mut gb: BTreeMap<usize, f64> = BTreeMap::new();
-            for chunk in arr.chunks_in_range(offset, len) {
-                let c_start = chunk * cs;
-                let c_end = c_start + cs;
-                let seg = (offset + len).min(c_end) - offset.max(c_start);
-                *gb.entry(layout.group_index(chunk_dkey_hash(chunk)))
-                    .or_default() += seg as f64;
-            }
-            gb
-        };
+        let group_bytes = group_bytes(self.array(cid, oid)?, offset, len, |c| {
+            layout.group_index(chunk_dkey_hash(c))
+        });
         // fault detection and write availability, before the mutation:
         // a failing write must leave the store untouched so a retry
         // re-executes cleanly
@@ -1037,14 +743,8 @@ impl DaosSystem {
         // fails the write here, before any mutation.  Fully-covered
         // chunks are replaced wholesale, which heals latent rot.
         let repair = self.array_prewrite_integrity(cid, oid, offset, len)?;
-        // apply the mutation
-        {
-            let entry = self.obj_mut(cid, oid)?;
-            match &mut entry.data {
-                ObjData::Array(a) => a.write(offset, &payload, mode, ec.as_ref()),
-                ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-            }
-        }
+        self.array_mut(cid, oid)?
+            .write(offset, &payload, mode, ec.as_ref());
         if let Some(l) = self.ledger.as_mut() {
             l.record_array_write(cid, oid, offset, &payload);
         }
@@ -1053,31 +753,25 @@ impl DaosSystem {
         let mut encode_bytes = 0.0;
         for (g, bytes) in group_bytes {
             let group = &layout.groups[g];
-            match class {
+            let per_target = match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
                     group_steps.push(self.write_to_target(client, group[0], bytes));
+                    continue;
                 }
-                ObjectClass::Replicated { .. } => {
-                    // degraded mode: down replicas receive nothing until
-                    // rebuild re-protects the group
-                    let writes = group
-                        .iter()
-                        .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.write_to_target(client, t, bytes))
-                        .collect::<Vec<_>>();
-                    group_steps.push(Step::par(writes));
-                }
+                ObjectClass::Replicated { .. } => bytes,
                 ObjectClass::ErasureCoded { k, .. } => {
                     encode_bytes += bytes;
-                    let cell = bytes / k as f64;
-                    let writes = group
-                        .iter()
-                        .filter(|&&t| self.pool.is_servable(t))
-                        .map(|&t| self.write_to_target(client, t, cell))
-                        .collect::<Vec<_>>();
-                    group_steps.push(Step::par(writes));
+                    bytes / k as f64
                 }
-            }
+            };
+            // degraded mode: down members receive nothing until rebuild
+            // re-protects the group
+            let writes = group
+                .iter()
+                .filter(|&&t| self.pool.is_servable(t))
+                .map(|&t| self.write_to_target(client, t, per_target))
+                .collect::<Vec<_>>();
+            group_steps.push(Step::par(writes));
         }
         let encode = if encode_bytes > 0.0 {
             Step::delay(units::secs_to_ns(encode_bytes / self.cal.ec_encode_bw))
@@ -1116,16 +810,12 @@ impl DaosSystem {
         // fault detection: observe crashes on every group this range
         // touches before serving anything
         if !self.undetected.is_empty() {
-            let touched: Vec<Vec<TargetId>> = {
-                let entry = self.obj(cid, oid)?;
-                match &entry.data {
-                    ObjData::Array(a) => a
-                        .chunks_in_range(offset, len)
-                        .map(|c| entry.layout.group_for(chunk_dkey_hash(c)).to_vec())
-                        .collect(),
-                    ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-                }
-            };
+            let layout = &self.obj(cid, oid)?.layout;
+            let touched: Vec<Vec<TargetId>> = self
+                .array(cid, oid)?
+                .chunks_in_range(offset, len)
+                .map(|c| layout.group_for(chunk_dkey_hash(c)).to_vec())
+                .collect();
             for g in &touched {
                 self.check_detection(client, g)?;
             }
@@ -1136,94 +826,63 @@ impl DaosSystem {
         // serving bad bytes
         let repair = self.array_verify_repair(cid, oid, offset, len)?;
         let mode = self.mode;
-        let pool = self.pool.clone();
-        let entry = self.obj(cid, oid)?;
-        let layout = entry.layout.clone();
-        let class = layout.class;
+        let class = self.obj(cid, oid)?.layout.class;
         let ec = self.ec_for(class);
-        let entry = self.obj(cid, oid)?;
-        let arr = match &entry.data {
-            ObjData::Array(a) => a,
-            ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-        };
-        let cs = arr.chunk_size();
+        let layout = &self.obj(cid, oid)?.layout;
+        let arr = self.array(cid, oid)?;
+        let pool = &self.pool;
         // availability of a chunk's group, as the data layer sees it
         let avail = |chunk: u64| -> CellAvailability {
             let group = layout.group_for(chunk_dkey_hash(chunk));
-            match class {
-                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                    if pool.is_servable(group[0]) {
-                        CellAvailability::All
-                    } else {
-                        CellAvailability::Unavailable
-                    }
-                }
-                ObjectClass::Replicated { .. } => {
-                    if group.iter().any(|&t| pool.is_servable(t)) {
-                        CellAvailability::All
-                    } else {
-                        CellAvailability::Unavailable
-                    }
-                }
+            let servable = match class {
+                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => pool.is_servable(group[0]),
+                ObjectClass::Replicated { .. } => group.iter().any(|&t| pool.is_servable(t)),
                 ObjectClass::ErasureCoded { .. } => {
-                    CellAvailability::Mask(group.iter().map(|&t| pool.is_servable(t)).collect())
+                    return CellAvailability::Mask(
+                        group.iter().map(|&t| pool.is_servable(t)).collect(),
+                    )
                 }
+            };
+            if servable {
+                CellAvailability::All
+            } else {
+                CellAvailability::Unavailable
             }
         };
         let data = arr.read(offset, len, mode, ec.as_ref(), &avail)?;
         // cost: per touched group, read bytes from the serving target(s)
-        let mut gb: BTreeMap<usize, f64> = BTreeMap::new();
-        for chunk in arr.chunks_in_range(offset, len) {
-            let c_start = chunk * cs;
-            let c_end = c_start + cs;
-            let seg = (offset + len).min(c_end) - offset.max(c_start);
-            *gb.entry(layout.group_index(chunk)).or_default() += seg as f64;
-        }
+        let gb = group_bytes(arr, offset, len, |c| layout.group_index(c));
         let mut group_steps = Vec::with_capacity(gb.len());
         let mut decode_bytes = 0.0;
         for (g, bytes) in gb {
             let group = &layout.groups[g];
+            let mut servable = group.iter().copied().filter(|&t| pool.is_servable(t));
             match class {
                 ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
                     group_steps.push(self.read_from_target(client, group[0], bytes));
                 }
                 ObjectClass::Replicated { .. } => {
-                    let t = group
-                        .iter()
-                        .copied()
-                        .find(|&t| pool.is_servable(t))
-                        .ok_or(DaosError::Unavailable)?;
+                    let t = servable.next().ok_or(DaosError::Unavailable)?;
                     group_steps.push(self.read_from_target(client, t, bytes));
                 }
                 ObjectClass::ErasureCoded { k, .. } => {
+                    // the first k servable members are the data cells
+                    // when those are healthy; otherwise read k surviving
+                    // cells and reconstruct
                     let k = k as usize;
-                    let data_targets = &group[..k];
-                    let healthy = data_targets.iter().all(|&t| pool.is_servable(t));
-                    let cell = bytes / k as f64;
-                    if healthy {
-                        let reads = data_targets
-                            .iter()
-                            .map(|&t| self.read_from_target(client, t, cell))
-                            .collect::<Vec<_>>();
-                        group_steps.push(Step::par(reads));
-                    } else {
-                        // degraded: read k surviving cells, reconstruct
-                        let survivors: Vec<TargetId> = group
-                            .iter()
-                            .copied()
-                            .filter(|&t| pool.is_servable(t))
-                            .take(k)
-                            .collect();
-                        if survivors.len() < k {
-                            return Err(DaosError::Unavailable);
-                        }
-                        decode_bytes += bytes;
-                        let reads = survivors
-                            .iter()
-                            .map(|&t| self.read_from_target(client, t, cell))
-                            .collect::<Vec<_>>();
-                        group_steps.push(Step::par(reads));
+                    let cells: Vec<TargetId> = servable.take(k).collect();
+                    if cells.len() < k {
+                        return Err(DaosError::Unavailable);
                     }
+                    if cells[..] != group[..k] {
+                        decode_bytes += bytes;
+                    }
+                    let cell = bytes / k as f64;
+                    let reads = cells
+                        .iter()
+                        .map(|&t| self.read_from_target(client, t, cell))
+                        .collect::<Vec<_>>();
+                    group_steps.push(Step::par(reads));
                 }
             }
         }
@@ -1257,18 +916,15 @@ impl DaosSystem {
         cid: ContainerId,
         oid: Oid,
     ) -> Result<(u64, Step), DaosError> {
-        let pool = self.pool.clone();
-        let entry = self.obj(cid, oid)?;
-        let size = match &entry.data {
-            ObjData::Array(a) => a.size(),
-            ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-        };
-        let t = entry
+        let size = self.array(cid, oid)?.size();
+        let t = self
+            .obj(cid, oid)?
             .layout
             .groups
             .iter()
-            .flat_map(|g| g.iter().copied())
-            .find(|&t| pool.is_servable(t))
+            .flatten()
+            .copied()
+            .find(|&t| self.pool.is_servable(t))
             .ok_or(DaosError::Unavailable)?;
         let step = Step::span(
             "libdaos",
@@ -1292,31 +948,14 @@ impl DaosSystem {
         oid: Oid,
         size: u64,
     ) -> Result<Step, DaosError> {
-        let entry = self.obj_mut(cid, oid)?;
-        let t = entry.layout.groups[0][0];
-        let cs = match &mut entry.data {
-            ObjData::Array(a) => {
-                a.set_size(size);
-                a.chunk_size()
-            }
-            ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-        };
+        let t = self.obj(cid, oid)?.layout.groups[0][0];
+        let a = self.array_mut(cid, oid)?;
+        a.set_size(size);
+        let cs = a.chunk_size();
         // truncation drops whole chunks; their rot entries must go with
         // them (the registry only ever names still-flipped bytes)
         let cut = size.div_ceil(cs) * cs;
-        let key = (cid.0, oid);
-        if let Some(m) = self.rot.extents.get_mut(&key) {
-            m.retain(|&o, _| o < cut);
-            if m.is_empty() {
-                self.rot.extents.remove(&key);
-            }
-        }
-        if let Some(s) = self.rot.parity.get_mut(&key) {
-            s.retain(|&(o, _)| o < cut);
-            if s.is_empty() {
-                self.rot.parity.remove(&key);
-            }
-        }
+        self.rot.retain_array(&(cid.0, oid), |o| o < cut);
         if let Some(l) = self.ledger.as_mut() {
             l.record_truncate(cid, oid, size);
         }
@@ -1407,1144 +1046,6 @@ impl DaosSystem {
         ))
     }
 
-    // ---- end-to-end data integrity ----------------------------------------------
-
-    /// Checksum activity counters so far ([`CsumStats::publish`] for
-    /// telemetry).
-    pub fn csum_stats(&self) -> CsumStats {
-        self.csum
-    }
-
-    /// Verify a KV value's stored checksum and transparently repair rot
-    /// the replication still covers.  Returns the repair cost step
-    /// ([`Step::Noop`] when the value is clean or absent) or
-    /// [`DaosError::BadChecksum`] when the rot exceeds redundancy.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    fn kv_verify_repair(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        key: &[u8],
-        group: &[TargetId],
-    ) -> Result<Step, DaosError> {
-        let verdict = {
-            let entry = self.obj(cid, oid)?;
-            match &entry.data {
-                ObjData::Kv(kv) => kv.verify(key),
-                ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-            }
-        };
-        match verdict {
-            None => Ok(Step::Noop),
-            Some(true) => {
-                self.csum.verified += 1;
-                Ok(Step::Noop)
-            }
-            Some(false) => {
-                self.csum.verified += 1;
-                self.repair_kv_rot(cid, oid, key, group)
-            }
-        }
-    }
-
-    /// Repair a KV value whose checksum failed: re-flip the registered
-    /// rot (the xor involution restores the original byte, modelling a
-    /// rewrite from a clean replica) and charge the replica-to-replica
-    /// copy; refuse with [`DaosError::BadChecksum`] when every replica
-    /// is rotten or the damage is unknown to the registry.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — repair path: runs only when rot was detected, not per I/O
-    fn repair_kv_rot(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        key: &[u8],
-        group: &[TargetId],
-    ) -> Result<Step, DaosError> {
-        let rkey = (cid.0, oid);
-        let rotten: BTreeSet<u64> = self
-            .rot
-            .kv
-            .get(&rkey)
-            .and_then(|m| m.get(key))
-            .cloned()
-            .unwrap_or_default();
-        self.csum.detected += rotten.len().max(1) as u64;
-        if rotten.is_empty() || rotten.len() >= group.len() {
-            self.csum.unrepairable += 1;
-            return Err(DaosError::BadChecksum);
-        }
-        let bytes = {
-            let entry = self.obj_mut(cid, oid)?;
-            match &mut entry.data {
-                ObjData::Kv(kv) => {
-                    kv.corrupt_value(key);
-                    kv.get(key).map(|v| v.len()).unwrap_or(0)
-                }
-                ObjData::Array(_) => return Err(DaosError::WrongObjectType),
-            }
-        };
-        self.rot_clear_kv(cid, oid, key);
-        self.csum.repaired += rotten.len() as u64;
-        self.csum.repaired_bytes += bytes * rotten.len() as u64;
-        // cost: a clean replica feeds a rewrite of each rotten one
-        let src = group
-            .iter()
-            .enumerate()
-            .find(|(i, t)| !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t))
-            .map(|(_, &t)| t);
-        let per_copy = (bytes as f64).max(64.0);
-        let moves: Vec<Step> = src
-            .map(|src| {
-                rotten
-                    .iter()
-                    .map(|&r| {
-                        let dst = group[r as usize % group.len()];
-                        self.rebuild_move(&[src], per_copy, dst, per_copy)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok(repair_span(bytes * rotten.len() as u64, moves))
-    }
-
-    /// Verify stored checksums over every chunk `[offset, offset+len)`
-    /// touches and transparently repair what the redundancy covers.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    fn array_verify_repair(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        offset: u64,
-        len: u64,
-    ) -> Result<Step, DaosError> {
-        let (checked, bad) = {
-            let entry = self.obj(cid, oid)?;
-            let a = match &entry.data {
-                ObjData::Array(a) => a,
-                ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-            };
-            let checked = a
-                .chunks_in_range(offset, len)
-                .filter(|&c| a.chunk_written(c))
-                .count() as u64;
-            (checked, a.verify_range(offset, len))
-        };
-        self.csum.verified += checked;
-        if bad.is_empty() {
-            return Ok(Step::Noop);
-        }
-        self.repair_array_rot(cid, oid, &bad)
-    }
-
-    /// Pre-write verification: partially-overwritten chunks fold their
-    /// existing bytes into the new chunk, so they must verify (and be
-    /// repaired) first; fully-covered chunks are replaced wholesale,
-    /// which heals latent rot — their registry entries are dropped so a
-    /// later repair cannot re-flip fresh bytes.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    fn array_prewrite_integrity(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        offset: u64,
-        len: u64,
-    ) -> Result<Step, DaosError> {
-        let (cs, full, checked, bad) = {
-            let entry = self.obj(cid, oid)?;
-            let a = match &entry.data {
-                ObjData::Array(a) => a,
-                ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-            };
-            let cs = a.chunk_size();
-            let mut full: BTreeSet<u64> = BTreeSet::new();
-            let mut checked = 0u64;
-            let mut bad = Vec::new();
-            for c in a.chunks_in_range(offset, len) {
-                let lo = c * cs;
-                if offset <= lo && offset + len >= lo + cs {
-                    full.insert(c);
-                } else if a.chunk_written(c) {
-                    checked += 1;
-                    if let Some(mm) = a.verify_chunk(c) {
-                        bad.push(mm);
-                    }
-                }
-            }
-            (cs, full, checked, bad)
-        };
-        self.csum.verified += checked;
-        let repair = if bad.is_empty() {
-            Step::Noop
-        } else {
-            self.repair_array_rot(cid, oid, &bad)?
-        };
-        if !full.is_empty() {
-            let rkey = (cid.0, oid);
-            if let Some(m) = self.rot.extents.get_mut(&rkey) {
-                m.retain(|&o, _| !full.contains(&(o / cs)));
-                if m.is_empty() {
-                    self.rot.extents.remove(&rkey);
-                }
-            }
-            if let Some(s) = self.rot.parity.get_mut(&rkey) {
-                s.retain(|&(o, _)| !full.contains(&(o / cs)));
-                if s.is_empty() {
-                    self.rot.parity.remove(&rkey);
-                }
-            }
-        }
-        Ok(repair)
-    }
-
-    /// Repair rotten array chunks: re-flip every registered flip
-    /// (restoring the bytes the surviving redundancy reconstructs),
-    /// clear the registry, and charge the reconstruction copies through
-    /// the rebuild machinery.  Refuses with [`DaosError::BadChecksum`]
-    /// when a chunk's rot exceeds its class redundancy — the caller
-    /// must not serve (or fold in) its bytes.
-    // simlint::panic_root — integrity path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — repair path: runs only when rot was detected, not per I/O
-    fn repair_array_rot(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        mismatches: &[CsumMismatch],
-    ) -> Result<Step, DaosError> {
-        let (layout, cs) = {
-            let entry = self.obj(cid, oid)?;
-            let cs = match &entry.data {
-                ObjData::Array(a) => a.chunk_size(),
-                ObjData::Kv(_) => return Err(DaosError::WrongObjectType),
-            };
-            (entry.layout.clone(), cs)
-        };
-        let class = layout.class;
-        let ec = self.ec_for(class);
-        let rkey = (cid.0, oid);
-        let mut moves: Vec<Step> = Vec::new();
-        let mut span_bytes = 0u64;
-        for mm in mismatches {
-            let chunk = mm.chunk;
-            let lo = chunk * cs;
-            let group = layout.group_for(chunk_dkey_hash(chunk)).to_vec();
-            let flips: Vec<u64> = self
-                .rot
-                .extents
-                .get(&rkey)
-                .map(|m| m.range(lo..lo + cs).map(|(&o, _)| o).collect())
-                .unwrap_or_default();
-            let parity_flips: Vec<(u64, u64)> = self
-                .rot
-                .parity
-                .get(&rkey)
-                .map(|s| {
-                    s.iter()
-                        .copied()
-                        .filter(|&(o, _)| o / cs == chunk)
-                        .collect()
-                })
-                .unwrap_or_default();
-            // rotten copy indices: EC trusts the recomputed per-cell
-            // verdict; replication derives them from the registry
-            let rotten: BTreeSet<u64> = match class {
-                ObjectClass::ErasureCoded { .. } => mm.cells.iter().map(|&c| c as u64).collect(),
-                _ => self
-                    .rot
-                    .extents
-                    .get(&rkey)
-                    .map(|m| {
-                        m.range(lo..lo + cs)
-                            .flat_map(|(_, s)| s.iter().copied())
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-            };
-            self.csum.detected += rotten.len().max(1) as u64;
-            let known = !flips.is_empty() || !parity_flips.is_empty();
-            let repairable = known
-                && match class {
-                    ObjectClass::Sharded(_) | ObjectClass::ShardedMax => false,
-                    ObjectClass::Replicated { .. } => {
-                        !rotten.is_empty() && rotten.len() < group.len()
-                    }
-                    ObjectClass::ErasureCoded { p, .. } => rotten.len() <= p as usize,
-                };
-            if !repairable {
-                self.csum.unrepairable += 1;
-                return Err(DaosError::BadChecksum);
-            }
-            {
-                let entry = self.obj_mut(cid, oid)?;
-                if let ObjData::Array(a) = &mut entry.data {
-                    for &o in &flips {
-                        a.corrupt_at(o);
-                    }
-                    if let Some(ec) = ec.as_ref() {
-                        for &(o, pi) in &parity_flips {
-                            a.corrupt_parity_at(o, pi as usize, ec);
-                        }
-                    }
-                    debug_assert!(a.verify_chunk(chunk).is_none(), "repair left chunk rotten");
-                }
-            }
-            if let Some(m) = self.rot.extents.get_mut(&rkey) {
-                for o in &flips {
-                    m.remove(o);
-                }
-                if m.is_empty() {
-                    self.rot.extents.remove(&rkey);
-                }
-            }
-            if let Some(s) = self.rot.parity.get_mut(&rkey) {
-                for pf in &parity_flips {
-                    s.remove(pf);
-                }
-                if s.is_empty() {
-                    self.rot.parity.remove(&rkey);
-                }
-            }
-            self.csum.repaired += rotten.len() as u64;
-            // cost: read enough clean copies, rewrite each rotten shard
-            match class {
-                ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {}
-                ObjectClass::Replicated { .. } => {
-                    let src = group
-                        .iter()
-                        .enumerate()
-                        .find(|(i, t)| !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t))
-                        .map(|(_, &t)| t);
-                    if let Some(src) = src {
-                        for &r in &rotten {
-                            let dst = group[r as usize % group.len()];
-                            moves.push(self.rebuild_move(&[src], cs as f64, dst, cs as f64));
-                            self.csum.repaired_bytes += cs;
-                            span_bytes += cs;
-                        }
-                    }
-                }
-                ObjectClass::ErasureCoded { k, .. } => {
-                    let k = k as usize;
-                    let cell_bytes = cs.div_ceil(k as u64);
-                    let sources: Vec<TargetId> = group
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, t)| {
-                            !rotten.contains(&(*i as u64)) && self.pool.is_servable(**t)
-                        })
-                        .map(|(_, &t)| t)
-                        .take(k)
-                        .collect();
-                    if sources.len() == k {
-                        for &r in &rotten {
-                            let dst = group[r as usize % group.len()];
-                            moves.push(self.rebuild_move(
-                                &sources,
-                                cell_bytes as f64,
-                                dst,
-                                cell_bytes as f64,
-                            ));
-                            self.csum.repaired_bytes += cell_bytes;
-                            span_bytes += cell_bytes;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(repair_span(span_bytes, moves))
-    }
-
-    fn rot_clear_kv(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) {
-        if let Some(m) = self.rot.kv.get_mut(&(cid.0, oid)) {
-            m.remove(key);
-            if m.is_empty() {
-                self.rot.kv.remove(&(cid.0, oid));
-            }
-        }
-    }
-
-    /// Apply a bit-rot fault: deterministically select the `locus`-th
-    /// stored unit (written array chunks and KV values, in container /
-    /// object / unit order) and flip one stored byte of its `shard`-th
-    /// copy (replica index; for EC objects, cell index — parity cells
-    /// included).  Re-rotting the same copy is idempotent; rotting
-    /// *another* copy of an already-rotten unit extends the damage
-    /// toward (and past) the redundancy limit.  Returns `false` when
-    /// the pool stores no rot-able bytes (e.g. Sized data mode).
-    // simlint::panic_root — fault-handling path: must never panic
-    // simlint::allow(hot-alloc) — fault application: runs once per injected fault, not per event
-    pub fn apply_bit_rot(&mut self, locus: u64, shard: u64) -> bool {
-        enum Unit {
-            Chunk(u64),
-            Key(Vec<u8>),
-        }
-        let mut units: Vec<(ContainerId, Oid, Unit)> = Vec::new();
-        for cont in self.containers.iter().flatten() {
-            for (oid, entry) in &cont.objects {
-                match &entry.data {
-                    ObjData::Array(a) => units.extend(
-                        a.written_chunks()
-                            .filter(|&c| a.chunk_stored_bytes(c) > 0)
-                            .map(|c| (cont.id, *oid, Unit::Chunk(c))),
-                    ),
-                    ObjData::Kv(kv) => units.extend(
-                        kv.list(b"")
-                            .into_iter()
-                            .map(|k| (cont.id, *oid, Unit::Key(k))),
-                    ),
-                }
-            }
-        }
-        if units.is_empty() {
-            return false;
-        }
-        let idx = (locus % units.len() as u64) as usize;
-        let (cid, oid, unit) = units.swap_remove(idx);
-        match unit {
-            Unit::Chunk(c) => self.plant_chunk_rot(cid, oid, c, locus, shard),
-            Unit::Key(k) => self.plant_kv_rot(cid, oid, &k, shard),
-        }
-    }
-
-    /// Plant rot on one copy of an array chunk: pick a stored byte of
-    /// the addressed replica/cell deterministically from `locus` and
-    /// flip it (first copy only — further copies extend the registry's
-    /// shard set without flipping again).
-    // simlint::panic_root — fault-handling path: must never panic
-    fn plant_chunk_rot(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        chunk: u64,
-        locus: u64,
-        shard: u64,
-    ) -> bool {
-        let (class, cs, rf) = match self.obj(cid, oid) {
-            Ok(entry) => {
-                let cs = match &entry.data {
-                    ObjData::Array(a) => a.chunk_size(),
-                    ObjData::Kv(_) => return false,
-                };
-                let rf = entry.layout.group_for(chunk_dkey_hash(chunk)).len().max(1) as u64;
-                (entry.layout.class, cs, rf)
-            }
-            Err(_) => return false,
-        };
-        let lo = chunk * cs;
-        match class {
-            ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                self.plant_extent_rot(cid, oid, lo + chunk_dkey_hash(locus) % cs, 0)
-            }
-            ObjectClass::Replicated { .. } => {
-                self.plant_extent_rot(cid, oid, lo + chunk_dkey_hash(locus) % cs, shard % rf)
-            }
-            ObjectClass::ErasureCoded { k, p } => {
-                let (k, p) = (k as u64, p as u64);
-                let cell = shard % (k + p);
-                if cell >= k {
-                    return self.plant_parity_rot(cid, oid, lo, cell - k);
-                }
-                let cell_len = cs.div_ceil(k);
-                // land inside the addressed data cell, clamped to the
-                // chunk's logical bytes (the tail cell carries padding)
-                let mut within = cell * cell_len + chunk_dkey_hash(locus) % cell_len;
-                if within >= cs {
-                    within = cell * cell_len;
-                }
-                if within >= cs {
-                    within = 0;
-                }
-                self.plant_extent_rot(cid, oid, lo + within, within / cell_len)
-            }
-        }
-    }
-
-    /// Flip the stored byte at `offset` (first copy only) and record
-    /// the hit shard copy.  Returns `false` when no real byte backs
-    /// the offset.
-    // simlint::panic_root — fault-handling path: must never panic
-    fn plant_extent_rot(&mut self, cid: ContainerId, oid: Oid, offset: u64, shard: u64) -> bool {
-        let rkey = (cid.0, oid);
-        let already = self
-            .rot
-            .extents
-            .get(&rkey)
-            .and_then(|m| m.get(&offset))
-            .is_some();
-        if !already {
-            let flipped = match self.obj_mut(cid, oid) {
-                Ok(entry) => match &mut entry.data {
-                    ObjData::Array(a) => a.corrupt_at(offset),
-                    ObjData::Kv(_) => false,
-                },
-                Err(_) => false,
-            };
-            if !flipped {
-                return false;
-            }
-        }
-        self.rot
-            .extents
-            .entry(rkey)
-            .or_default()
-            .entry(offset)
-            .or_default()
-            .insert(shard);
-        true
-    }
-
-    /// Flip one byte of parity cell `parity_idx` in the chunk holding
-    /// `offset` (first hit only) and record it.  Returns `false` for
-    /// non-EC objects or out-of-range parity indices.
-    // simlint::panic_root — fault-handling path: must never panic
-    fn plant_parity_rot(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        offset: u64,
-        parity_idx: u64,
-    ) -> bool {
-        let rkey = (cid.0, oid);
-        let (class, cs) = match self.obj(cid, oid) {
-            Ok(entry) => match &entry.data {
-                ObjData::Array(a) => (entry.layout.class, a.chunk_size()),
-                ObjData::Kv(_) => return false,
-            },
-            Err(_) => return false,
-        };
-        let lo = offset / cs * cs;
-        if self
-            .rot
-            .parity
-            .get(&rkey)
-            .is_some_and(|s| s.contains(&(lo, parity_idx)))
-        {
-            return true;
-        }
-        let Some(ec) = self.ec_for(class) else {
-            return false;
-        };
-        let flipped = match self.obj_mut(cid, oid) {
-            Ok(entry) => match &mut entry.data {
-                ObjData::Array(a) => a.corrupt_parity_at(lo, parity_idx as usize, &ec),
-                ObjData::Kv(_) => false,
-            },
-            Err(_) => false,
-        };
-        if !flipped {
-            return false;
-        }
-        self.rot
-            .parity
-            .entry(rkey)
-            .or_default()
-            .insert((lo, parity_idx));
-        true
-    }
-
-    /// Flip a stored KV value byte (first copy only) and record the hit
-    /// replica.  Returns `false` for absent or Sized values.
-    // simlint::panic_root — fault-handling path: must never panic
-    fn plant_kv_rot(&mut self, cid: ContainerId, oid: Oid, key: &[u8], shard: u64) -> bool {
-        let rf = match self.obj(cid, oid) {
-            Ok(entry) => entry.layout.group_for(dkey_hash(key)).len().max(1) as u64,
-            Err(_) => return false,
-        };
-        let rkey = (cid.0, oid);
-        let already = self.rot.kv.get(&rkey).and_then(|m| m.get(key)).is_some();
-        if !already {
-            let flipped = match self.obj_mut(cid, oid) {
-                Ok(entry) => match &mut entry.data {
-                    ObjData::Kv(kv) => kv.corrupt_value(key),
-                    ObjData::Array(_) => false,
-                },
-                Err(_) => false,
-            };
-            if !flipped {
-                return false;
-            }
-        }
-        self.rot
-            .kv
-            .entry(rkey)
-            .or_default()
-            .entry(key.to_vec())
-            .or_default()
-            .insert(shard % rf);
-        true
-    }
-
-    // ---- background scrubber ----------------------------------------------------
-
-    /// Start (or restart) a scrub pass from the beginning of the scan
-    /// domain.  Drive it with [`DaosSystem::scrub_wave`].
-    pub fn scrub_start(&mut self) {
-        self.scrub.active = true;
-        self.scrub.cursor = None;
-    }
-
-    /// Whether a scrub pass is in progress.
-    pub fn scrub_active(&self) -> bool {
-        self.scrub.active
-    }
-
-    /// Scrubber progress so far ([`ScrubReport::publish`] for
-    /// telemetry).
-    pub fn scrub_progress(&self) -> ScrubReport {
-        self.scrub.report
-    }
-
-    /// Emit the next scrub wave: verify up to `max_units` stored units
-    /// (array chunks and KV values) in container/object/unit order from
-    /// the resume cursor, repairing what the redundancy covers, as one
-    /// `scrub.wave` span of target-local disk reads plus any repair
-    /// copies — all competing with foreground traffic through the same
-    /// fairshare NVMe/engine resources.  Rot beyond redundancy is
-    /// counted and **left in place**: reads refuse it loudly and the
-    /// durability oracle names it.  Returns `None` when the pass is
-    /// complete.  The cursor is replay-visible state, so a pass resumes
-    /// byte-identically after a crash.
-    // simlint::panic_root — scrub path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — wave construction: runs once per scrub wave (bounded by max_units), not per engine event
-    pub fn scrub_wave(&mut self, max_units: usize) -> Option<Step> {
-        assert!(max_units > 0);
-        if !self.scrub.active {
-            return None;
-        }
-        // phase 1: scan forward from the cursor, collecting work
-        let start = self.scrub.cursor;
-        let mut work: Vec<(ContainerId, Oid, u64, ScrubUnit)> = Vec::new();
-        let mut next: Option<(u32, Oid, u64)> = None;
-        'scan: for (ci, cont) in self.containers.iter().enumerate() {
-            let Some(cont) = cont else { continue };
-            if let Some((scid, _, _)) = start {
-                if (ci as u32) < scid {
-                    continue;
-                }
-            }
-            for (oid, entry) in &cont.objects {
-                let from_unit = match start {
-                    Some((scid, soid, u)) if ci as u32 == scid => {
-                        if *oid < soid {
-                            continue;
-                        }
-                        if *oid == soid {
-                            u
-                        } else {
-                            0
-                        }
-                    }
-                    _ => 0,
-                };
-                match &entry.data {
-                    ObjData::Array(a) => {
-                        for c in a.written_chunks().filter(|&c| c >= from_unit) {
-                            if work.len() >= max_units {
-                                next = Some((ci as u32, *oid, c));
-                                break 'scan;
-                            }
-                            work.push((
-                                cont.id,
-                                *oid,
-                                a.chunk_stored_bytes(c),
-                                ScrubUnit::Chunk(c, a.verify_chunk(c)),
-                            ));
-                        }
-                    }
-                    ObjData::Kv(kv) => {
-                        for (u, k) in kv
-                            .list(b"")
-                            .into_iter()
-                            .enumerate()
-                            .skip(from_unit as usize)
-                        {
-                            if work.len() >= max_units {
-                                next = Some((ci as u32, *oid, u as u64));
-                                break 'scan;
-                            }
-                            let ok = kv.verify(&k).unwrap_or(true);
-                            let bytes = kv.get(&k).map(|v| v.len()).unwrap_or(0);
-                            work.push((cont.id, *oid, bytes, ScrubUnit::Key(k, ok)));
-                        }
-                    }
-                }
-            }
-        }
-        self.scrub.cursor = next;
-        if next.is_none() {
-            self.scrub.active = false;
-            self.scrub.report.passes += 1;
-        }
-        if work.is_empty() {
-            return None;
-        }
-        // phase 2: charge the scan reads and apply repairs
-        let mut reads: Vec<Step> = Vec::new();
-        let mut repairs: Vec<Step> = Vec::new();
-        let mut wave_bytes = 0u64;
-        for (cid, oid, bytes, unit) in work {
-            self.scrub.report.units_scanned += 1;
-            self.scrub.report.bytes_scanned += bytes;
-            self.csum.verified += 1;
-            wave_bytes += bytes;
-            let before = self.csum;
-            match unit {
-                ScrubUnit::Chunk(c, mm) => {
-                    let (group, per_member) = match self.obj(cid, oid) {
-                        Ok(entry) => {
-                            let group = entry.layout.group_for(chunk_dkey_hash(c)).to_vec();
-                            let per = match entry.layout.class {
-                                ObjectClass::ErasureCoded { .. } => {
-                                    bytes as f64 / group.len().max(1) as f64
-                                }
-                                _ => bytes as f64,
-                            };
-                            (group, per)
-                        }
-                        Err(_) => continue,
-                    };
-                    reads.push(self.scrub_read_cost(&group, per_member));
-                    if let Some(mm) = mm {
-                        // beyond-redundancy rot is counted and left in
-                        // place: reads refuse it, the oracle names it
-                        if let Ok(step) = self.repair_array_rot(cid, oid, std::slice::from_ref(&mm))
-                        {
-                            repairs.push(step);
-                        }
-                    }
-                }
-                ScrubUnit::Key(k, ok) => {
-                    let group = match self.obj(cid, oid) {
-                        Ok(entry) => entry.layout.group_for(dkey_hash(&k)).to_vec(),
-                        Err(_) => continue,
-                    };
-                    reads.push(self.scrub_read_cost(&group, (bytes as f64).max(64.0)));
-                    if !ok {
-                        if let Ok(step) = self.repair_kv_rot(cid, oid, &k, &group) {
-                            repairs.push(step);
-                        }
-                    }
-                }
-            }
-            let after = self.csum;
-            self.scrub.report.detected += after.detected - before.detected;
-            self.scrub.report.repaired += after.repaired - before.repaired;
-            self.scrub.report.unrepairable += after.unrepairable - before.unrepairable;
-        }
-        self.scrub.report.waves += 1;
-        let wave = if repairs.is_empty() {
-            Step::par(reads)
-        } else {
-            Step::seq([Step::par(reads), Step::seq(repairs)])
-        };
-        Some(Step::span("scrub", "wave", wave_bytes, wave))
-    }
-
-    /// Target-local scan cost: each servable group member reads its
-    /// share of the stored bytes straight off its NVMe through the
-    /// engine — no client or network involvement, but full contention
-    /// with foreground traffic on the shared fairshare resources.
-    fn scrub_read_cost(&self, group: &[TargetId], bytes_each: f64) -> Step {
-        let reads: Vec<Step> = group
-            .iter()
-            .filter(|&&t| self.pool.is_servable(t))
-            .map(|&t| {
-                let srv = &self.topo.servers[t.server as usize];
-                let res = &self.srv_res[t.server as usize];
-                let dev = self.dev_for(t);
-                Step::seq([
-                    Step::transfer(
-                        bytes_each,
-                        [srv.nvme_r[dev], srv.nvme_r_pool, res.engine_xfer],
-                    ),
-                    Step::delay(self.cal.nvme_read_lat_ns),
-                ])
-            })
-            .collect();
-        Step::par(reads)
-    }
-
-    // ---- rebuild ---------------------------------------------------------------
-
-    /// Re-protect every object affected by excluded targets: degraded
-    /// shard-group members are remapped to healthy replacement targets
-    /// and the surviving data is copied/reconstructed onto them,
-    /// server-to-server.  Returns the report and the op chain modelling
-    /// the data movement (submit it to account for rebuild time; real
-    /// DAOS runs this in the background while serving degraded I/O).
-    // simlint::panic_root — fault-handling path: must never panic
-    // simlint::amortized — rebuild runs once per fault, not per event; its planning cost amortizes across the whole degraded window it repairs
-    pub fn rebuild(&mut self) -> (RebuildReport, Step) {
-        let pool = self.pool.clone();
-        let mut report = RebuildReport::default();
-        let mut moves: Vec<Step> = Vec::new();
-        // collect the per-shard plans first (borrow juggling: layout
-        // edits happen in the same pass, costs are built after)
-        struct Plan {
-            sources: Vec<TargetId>,
-            read_each: f64,
-            dst: TargetId,
-            write_bytes: f64,
-        }
-        let mut plans: Vec<Plan> = Vec::new();
-        for cont in self.containers.iter_mut().flatten() {
-            for entry in cont.objects.values_mut() {
-                report.objects_scanned += 1;
-                let class = entry.layout.class;
-                let ngroups = entry.layout.groups.len().max(1);
-                let obj_bytes = match &entry.data {
-                    ObjData::Array(a) => a.size() as f64,
-                    ObjData::Kv(kv) => kv.len() as f64 * 512.0,
-                };
-                let group_share = obj_bytes / ngroups as f64;
-                for group in entry.layout.groups.iter_mut() {
-                    for m in 0..group.len() {
-                        let t = group[m];
-                        // repair fully-down members only: drained and
-                        // reintegrating targets still serve their shards
-                        // and are the migration engine's responsibility
-                        if pool.is_servable(t) {
-                            continue;
-                        }
-                        let survivors: Vec<TargetId> = group
-                            .iter()
-                            .copied()
-                            .filter(|&x| pool.is_servable(x))
-                            .collect();
-                        let (needed, write_bytes, read_each) = match class {
-                            ObjectClass::Sharded(_) | ObjectClass::ShardedMax => {
-                                report.shards_lost += 1;
-                                continue;
-                            }
-                            ObjectClass::Replicated { .. } => (1usize, group_share, group_share),
-                            ObjectClass::ErasureCoded { k, .. } => {
-                                let k = k as usize;
-                                (k, group_share / k as f64, group_share / k as f64)
-                            }
-                        };
-                        if survivors.len() < needed {
-                            report.shards_lost += 1;
-                            continue;
-                        }
-                        let Some(dst) = pick_replacement(&pool, group, t) else {
-                            report.shards_lost += 1;
-                            continue;
-                        };
-                        group[m] = dst;
-                        report.shards_rebuilt += 1;
-                        report.bytes_moved += write_bytes;
-                        if write_bytes > 0.0 {
-                            plans.push(Plan {
-                                sources: survivors[..needed].to_vec(),
-                                read_each,
-                                dst,
-                                write_bytes,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        for plan in plans {
-            moves.push(self.rebuild_move(
-                &plan.sources,
-                plan.read_each,
-                plan.dst,
-                plan.write_bytes,
-            ));
-        }
-        // throttle the background traffic into waves so a mass rebuild
-        // does not model as one infinitely-wide burst
-        let moved = report.bytes_moved as u64;
-        let step = Step::span(
-            "rebuild",
-            "scan",
-            moved,
-            Step::seq(
-                moves
-                    .chunks(32)
-                    .map(|wave| Step::par(wave.to_vec()))
-                    .collect::<Vec<_>>(),
-            ),
-        );
-        (report, step)
-    }
-
-    /// Server-to-server shard move: read the surviving cells/replica,
-    /// ship them to the destination server, write the rebuilt shard.
-    // simlint::panic_root — fault-handling path: must never panic
-    fn rebuild_move(
-        &self,
-        sources: &[TargetId],
-        read_each: f64,
-        dst: TargetId,
-        write_bytes: f64,
-    ) -> Step {
-        let dsts = &self.topo.servers[dst.server as usize];
-        let dres = &self.srv_res[dst.server as usize];
-        let ddev = self.dev_for(dst);
-        let reads = sources
-            .iter()
-            .map(|&src| {
-                let ssrv = &self.topo.servers[src.server as usize];
-                let sres = &self.srv_res[src.server as usize];
-                let sdev = self.dev_for(src);
-                Step::transfer(
-                    read_each,
-                    [
-                        ssrv.nvme_r[sdev],
-                        ssrv.nvme_r_pool,
-                        sres.engine_xfer,
-                        ssrv.nic_tx,
-                        dsts.nic_rx,
-                    ],
-                )
-            })
-            .collect::<Vec<_>>();
-        Step::span(
-            "rebuild",
-            "move",
-            write_bytes as u64,
-            Step::seq([
-                Step::delay(self.cal.net_rtt_ns),
-                Step::par(reads),
-                Step::transfer(
-                    write_bytes,
-                    [dres.engine_xfer, dsts.nvme_w[ddev], dsts.nvme_w_pool],
-                ),
-                Step::delay(self.cal.nvme_write_lat_ns),
-            ]),
-        )
-    }
-
-    // ---- elastic membership & the migration engine ------------------------------
-
-    /// Targets of the current map that cannot serve I/O.  Only these can
-    /// hold an undetected crash, so they bound the auditor's retry
-    /// budget ([`DaosSystem::verify_durability`]).
-    fn down_targets(&self) -> usize {
-        self.pool.total_targets() - self.pool.servable_count()
-    }
-
-    /// Add a server to the pool online (`dmg system join` + extend).
-    /// The topology must have spare hardware (deploys over fewer servers
-    /// than the topology holds leave room to grow).  The new engine's
-    /// service resources are created in `sched`; its targets join in
-    /// `Reint` state — they receive migrated shards and serve them, but
-    /// new layouts skip them until [`DaosSystem::finish_rebalance`]
-    /// promotes them.  Returns the new server's rank.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
-    pub fn add_server(&mut self, sched: &mut Scheduler) -> u16 {
-        let s = self.pool.server_count();
-        assert!(
-            s < self.topo.server_count(),
-            "topology has no spare server hardware to add"
-        );
-        let rank = self.pool.add_server();
-        self.srv_res.push(ServerRes {
-            engine_xfer: sched.add_resource(format!("daos{s}.engine"), self.cal.engine_xfer_bw),
-            tgt_svc: (0..self.cal.targets_per_server)
-                .map(|t| sched.add_resource(format!("daos{s}.tgt{t}"), self.cal.target_svc_iops))
-                .collect(),
-        });
-        rank
-    }
-
-    /// Start draining a server (`dmg pool drain`): its targets keep
-    /// serving their shards but leave new layouts; plan a rebalance to
-    /// move the shards off, then [`DaosSystem::finish_rebalance`]
-    /// retires them.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
-    pub fn drain_server(&mut self, server: u16) {
-        self.pool.drain_server(server);
-    }
-
-    /// Plan the data migration for the current membership: every shard
-    /// on a draining target moves off it, and when reintegrating targets
-    /// exist (a newly added server), a proportional share of the shards
-    /// on up targets moves onto them — consistent-hashing-style minimal
-    /// movement, so growing 4→5 servers relocates ≈1/5th of the data.
-    ///
-    /// Layouts are remapped at plan time (the same modelling shortcut as
-    /// [`DaosSystem::rebuild`]): reads follow the new layout immediately
-    /// while the planned moves model the background copy cost.  Ship the
-    /// moves with [`DaosSystem::migration_wave`]; a crash between waves
-    /// only invalidates the moves it made stale.
-    // simlint::panic_root — membership-change path: must never panic
-    // simlint::amortized — planning runs once per membership change, not per event; its scan amortizes across the whole rebalance it plans
-    pub fn rebalance_plan(&mut self) -> RebalanceReport {
-        let pool = self.pool.clone();
-        let mut report = RebalanceReport::default();
-        // migration destinations: reintegrating targets in linear order
-        let reint: Vec<TargetId> = (0..pool.total_targets())
-            .map(|i| pool.target_at(i))
-            .filter(|&t| pool.state(t) == crate::pool::TargetState::Reint)
-            .collect();
-        let total = pool.total_targets() as u64;
-        let mut plans: Vec<(MoveKey, MovePlan)> = Vec::new();
-        for cont in self.containers.iter_mut().flatten() {
-            let cid = cont.id;
-            for (oid, entry) in cont.objects.iter_mut() {
-                report.objects_scanned += 1;
-                let class = entry.layout.class;
-                let ngroups = entry.layout.groups.len().max(1);
-                let obj_bytes = match &entry.data {
-                    ObjData::Array(a) => a.size() as f64,
-                    ObjData::Kv(kv) => kv.len() as f64 * 512.0,
-                };
-                let group_share = obj_bytes / ngroups as f64;
-                let member_bytes = match class {
-                    ObjectClass::Sharded(_)
-                    | ObjectClass::ShardedMax
-                    | ObjectClass::Replicated { .. } => group_share,
-                    ObjectClass::ErasureCoded { k, .. } => group_share / k as f64,
-                };
-                for (g, group) in entry.layout.groups.iter_mut().enumerate() {
-                    for m in 0..group.len() {
-                        let from = group[m];
-                        let h = move_hash(oid, g, m);
-                        let dst = match pool.state(from) {
-                            // drained shards must leave; prefer the new
-                            // server's targets, else any up target
-                            crate::pool::TargetState::Drain => {
-                                pick_migration_dest(&pool, group, from, &reint, h)
-                            }
-                            // minimal movement onto a new server: member
-                            // moves iff its hash lands in the added slice
-                            crate::pool::TargetState::Up
-                                if !reint.is_empty() && h % total < reint.len() as u64 =>
-                            {
-                                pick_reint_dest(&pool, group, from, &reint, h)
-                            }
-                            _ => None,
-                        };
-                        let Some(dst) = dst else {
-                            if pool.state(from) == crate::pool::TargetState::Drain {
-                                report.moves_skipped += 1;
-                            }
-                            continue;
-                        };
-                        group[m] = dst;
-                        report.moves_planned += 1;
-                        report.bytes_planned += member_bytes;
-                        plans.push((
-                            (cid.0, *oid, g, m),
-                            MovePlan {
-                                sources: vec![from],
-                                read_each: member_bytes,
-                                dst,
-                                write_bytes: member_bytes,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        for (key, plan) in plans {
-            // re-planning overwrites: the newest layout decision wins
-            self.migration.pending.insert(key, plan);
-        }
-        report
-    }
-
-    /// Emit the next migration wave: up to `max_moves` pending moves,
-    /// validated against the *current* layouts and pool map, as one
-    /// parallel step of server-to-server copies competing with
-    /// foreground traffic through the same NIC/engine/NVMe resources.
-    /// Stale moves (object punched, layout remapped by a crash-triggered
-    /// rebuild, destination no longer servable) are dropped and counted
-    /// — this is what makes migration resumable after a crash.  Returns
-    /// `None` when nothing remains to ship.
-    // simlint::panic_root — migration path runs under injected faults: must never panic
-    // simlint::allow(hot-alloc) — wave construction: runs once per migration wave (bounded by max_moves), not per engine event
-    pub fn migration_wave(&mut self, max_moves: usize) -> Option<Step> {
-        assert!(max_moves > 0);
-        let mut moves: Vec<Step> = Vec::new();
-        let mut wave_bytes = 0.0;
-        while moves.len() < max_moves {
-            let Some(((cid, oid, g, m), plan)) = self.migration.pending.pop_first() else {
-                break;
-            };
-            let cid = ContainerId(cid);
-            // validate against the current world: a crash (and the
-            // rebuild it triggered) may have invalidated this move
-            let valid = match self.obj(cid, oid) {
-                Ok(entry) => {
-                    entry.layout.groups.get(g).and_then(|grp| grp.get(m)) == Some(&plan.dst)
-                        && self.pool.is_servable(plan.dst)
-                }
-                Err(_) => false,
-            };
-            if !valid {
-                self.migration.moves_dropped += 1;
-                continue;
-            }
-            // re-source from the surviving group when the planned source
-            // died mid-migration (redundant classes can still feed the
-            // copy; an unreplicated shard with a dead source is dropped
-            // and the durability oracle will name the loss)
-            let mut sources: Vec<TargetId> = plan
-                .sources
-                .iter()
-                .copied()
-                .filter(|&t| self.pool.is_servable(t))
-                .collect();
-            if sources.is_empty() {
-                if let Ok(entry) = self.obj(cid, oid) {
-                    sources = entry.layout.groups[g]
-                        .iter()
-                        .copied()
-                        .filter(|&t| t != plan.dst && self.pool.is_servable(t))
-                        .take(1)
-                        .collect();
-                }
-            }
-            if sources.is_empty() {
-                self.migration.moves_dropped += 1;
-                continue;
-            }
-            wave_bytes += plan.write_bytes;
-            moves.push(self.rebuild_move(&sources, plan.read_each, plan.dst, plan.write_bytes));
-            self.migration.moves_done += 1;
-            self.migration.moved_bytes += plan.write_bytes;
-        }
-        if moves.is_empty() {
-            return None;
-        }
-        Some(Step::span(
-            "migrate",
-            "wave",
-            wave_bytes as u64,
-            Step::par(moves),
-        ))
-    }
-
-    /// Planned moves not yet shipped.
-    pub fn migration_pending(&self) -> usize {
-        self.migration.pending.len()
-    }
-
-    /// Progress of the migration engine so far.
-    pub fn migration_progress(&self) -> MigrationProgress {
-        MigrationProgress {
-            moves_done: self.migration.moves_done,
-            moves_dropped: self.migration.moves_dropped,
-            moved_bytes: self.migration.moved_bytes,
-        }
-    }
-
-    /// Complete the rebalance: retire fully-drained targets
-    /// (`Drain` → `Down`) and promote reintegrating ones (`Reint` →
-    /// `Up`).  Call once [`DaosSystem::migration_pending`] reaches zero;
-    /// any shard the planner could not move off a drained target becomes
-    /// unavailable here, which is exactly what the durability oracles
-    /// are watching for.
-    // simlint::allow(digest-taint) — membership op: driven by fault-plan actions, whose canonical encoding is already folded into the replay digest at install time
-    pub fn finish_rebalance(&mut self) {
-        self.pool.retire_drained();
-        self.pool.promote_reint();
-    }
-
     // ---- space accounting -------------------------------------------------------
 
     /// Pool usage summary (`dmg pool query`): logical bytes stored per
@@ -2572,259 +1073,6 @@ impl DaosSystem {
         info
     }
 
-    // ---- durability oracles ---------------------------------------------------
-
-    /// Start recording acknowledged writes for the durability oracles.
-    /// Call once after deploy, before the workload; the ledger is then
-    /// maintained by every mutating data path and consumed by
-    /// [`DaosSystem::verify_durability`].
-    // simlint::allow(digest-taint) — oracle bookkeeping: written by data paths, never read by them; cannot alter any schedule
-    pub fn enable_ledger(&mut self) {
-        self.ledger = Some(DurabilityLedger::new());
-    }
-
-    /// The acked-write ledger, when enabled.
-    pub fn ledger(&self) -> Option<&DurabilityLedger> {
-        self.ledger.as_ref()
-    }
-
-    /// Read every acknowledged write back through the owning API and
-    /// report anything missing, wrong, or unservable.
-    ///
-    /// The auditor behaves like any client: its reads observe
-    /// still-undetected crashes ([`DaosError::TargetDown`]) and retry
-    /// against the refreshed pool map, exactly as application reads do.
-    /// Content is compared byte-for-byte in Full data mode and by
-    /// length in Sized mode.  Returned [`Step`] costs are discarded —
-    /// this is an offline audit, run after quiescence, that must not
-    /// perturb the simulated schedule.
-    // simlint::allow(digest-taint) — offline audit: cost steps are discarded and only crash-detection bookkeeping is touched, after the workload has quiesced
-    pub fn verify_durability(&mut self, client: usize) -> OracleReport {
-        let Some(ledger) = self.ledger.clone() else {
-            return OracleReport::default();
-        };
-        let mut report = OracleReport::default();
-        for ((cid, oid, key), acked) in ledger.kv_entries() {
-            report.checked_kv += 1;
-            let subject = format!(
-                "cont {} obj {} key {:?}",
-                cid.0,
-                oid,
-                String::from_utf8_lossy(key)
-            );
-            let mut got = self.kv_get(client, *cid, *oid, key);
-            // first touches of crashed targets fail once per client;
-            // detection is monotone per (client, target), so the retry
-            // budget is the number of down targets in the *current* map,
-            // re-read each attempt — membership changes (drained servers
-            // retired mid-audit, servers added) neither inflate nor
-            // starve it
-            let mut detections = 0;
-            while matches!(got, Err(DaosError::TargetDown)) && detections < self.down_targets() {
-                detections += 1;
-                got = self.kv_get(client, *cid, *oid, key);
-            }
-            match got {
-                Ok((read, _step)) => {
-                    if let Some(detail) = content_mismatch(acked, &read) {
-                        report.violations.push(Violation {
-                            oracle: self.mismatch_kind(*cid, *oid),
-                            subject,
-                            detail,
-                        });
-                    }
-                }
-                Err(DaosError::BadChecksum) => report.violations.push(Violation {
-                    oracle: OracleKind::Corruption,
-                    subject,
-                    detail: format!(
-                        "acked {} bytes, checksum mismatch with rot beyond redundancy",
-                        acked.len()
-                    ),
-                }),
-                Err(e) => report.violations.push(Violation {
-                    oracle: OracleKind::AckedDurability,
-                    subject,
-                    detail: format!("acked {} bytes, read failed: {e:?}", acked.len()),
-                }),
-            }
-        }
-        for ((cid, oid), extents) in ledger.extent_entries() {
-            for (&offset, acked) in extents {
-                report.checked_extents += 1;
-                let subject = format!(
-                    "cont {} obj {} extent [{}, {})",
-                    cid.0,
-                    oid,
-                    offset,
-                    offset + acked.len()
-                );
-                let mut got = self.array_read(client, *cid, *oid, offset, acked.len());
-                // detection is monotone per (client, target): the budget
-                // is the down-target count of the *current* map version,
-                // recomputed per attempt (see the KV loop above)
-                let mut detections = 0;
-                while matches!(got, Err(DaosError::TargetDown)) && detections < self.down_targets()
-                {
-                    detections += 1;
-                    got = self.array_read(client, *cid, *oid, offset, acked.len());
-                }
-                match got {
-                    Ok((read, _step)) => {
-                        if let Some(detail) = content_mismatch(acked, &read) {
-                            report.violations.push(Violation {
-                                oracle: self.mismatch_kind(*cid, *oid),
-                                subject,
-                                detail,
-                            });
-                        }
-                    }
-                    Err(DaosError::BadChecksum) => report.violations.push(Violation {
-                        oracle: OracleKind::Corruption,
-                        subject,
-                        detail: format!(
-                            "acked {} bytes, checksum mismatch with rot beyond redundancy",
-                            acked.len()
-                        ),
-                    }),
-                    Err(e) => report.violations.push(Violation {
-                        oracle: OracleKind::AckedDurability,
-                        subject,
-                        detail: format!("acked {} bytes, read failed: {e:?}", acked.len()),
-                    }),
-                }
-            }
-        }
-        report
-    }
-
-    /// Classify a read-back content mismatch: rot the registry still
-    /// names is **Corruption** — bytes silently wrong, not lost; a
-    /// mismatch on a redundant class otherwise means fail-over or
-    /// reconstruction served bad bytes; on a plain class it is a
-    /// straight durability loss.
-    fn mismatch_kind(&self, cid: ContainerId, oid: Oid) -> OracleKind {
-        if self.rot.touches(&(cid.0, oid)) {
-            return OracleKind::Corruption;
-        }
-        match self.obj(cid, oid).map(|e| e.layout.class) {
-            Ok(ObjectClass::Replicated { .. }) | Ok(ObjectClass::ErasureCoded { .. }) => {
-                OracleKind::Reconstruction
-            }
-            _ => OracleKind::AckedDurability,
-        }
-    }
-
-    /// Check that every shard group of every live object is fully
-    /// redundant again (no down members) — the post-rebuild invariant
-    /// behind the paper's time-to-redundancy-restored measurements.
-    pub fn verify_redundancy(&self) -> OracleReport {
-        let mut report = OracleReport::default();
-        for cont in self.containers.iter().flatten() {
-            for (oid, entry) in &cont.objects {
-                for (g, group) in entry.layout.groups.iter().enumerate() {
-                    report.checked_groups += 1;
-                    let down: Vec<String> = group
-                        .iter()
-                        .filter(|&&t| !self.pool.is_up(t))
-                        .map(|t| format!("{}.{}", t.server, t.target))
-                        .collect();
-                    if !down.is_empty() {
-                        report.violations.push(Violation {
-                            oracle: OracleKind::RedundancyRestored,
-                            subject: format!("cont {} obj {} group {g}", cont.id.0, oid),
-                            detail: format!("down members after rebuild: {}", down.join(", ")),
-                        });
-                    }
-                }
-            }
-        }
-        report
-    }
-
-    /// Remove one acked KV entry behind the ledger's back — a
-    /// **planted-violation test hook** for the oracle self-tests, never
-    /// called by any data path.  Returns `false` when the entry does
-    /// not exist.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
-    pub fn inject_drop_acked_kv(&mut self, cid: ContainerId, oid: Oid, key: &[u8]) -> bool {
-        match self.obj_mut(cid, oid) {
-            Ok(entry) => match &mut entry.data {
-                ObjData::Kv(kv) => kv.remove(key),
-                ObjData::Array(_) => false,
-            },
-            Err(_) => false,
-        }
-    }
-
-    /// Flip one stored byte — a **planted-rot test hook**; see
-    /// [`ArrayData::corrupt_at`].  For Array objects the flip lands at
-    /// `offset` (inside one data cell for EC); for Key-Value objects it
-    /// lands in the value of the `offset`-th key (sorted order).  The
-    /// rot registry records the damage against shard copy 0, so
-    /// verified reads detect it and repair it when redundancy allows.
-    /// Returns `false` when no real byte backs the offset.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
-    pub fn inject_corrupt_extent(&mut self, cid: ContainerId, oid: Oid, offset: u64) -> bool {
-        let kv_key = match self.obj(cid, oid) {
-            Ok(entry) => match &entry.data {
-                ObjData::Array(_) => None,
-                ObjData::Kv(kv) => {
-                    let keys = kv.list(b"");
-                    if keys.is_empty() {
-                        return false;
-                    }
-                    Some(keys[(offset % keys.len() as u64) as usize].clone())
-                }
-            },
-            Err(_) => return false,
-        };
-        match kv_key {
-            None => self.plant_extent_rot(cid, oid, offset, 0),
-            Some(key) => self.plant_kv_rot(cid, oid, &key, 0),
-        }
-    }
-
-    /// Flip one stored byte of a specific replica/cell copy — the
-    /// beyond-redundancy planting hook: calling it for every shard of a
-    /// location rots the datum past what repair can recover.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
-    pub fn inject_corrupt_replica(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        offset: u64,
-        shard: u64,
-    ) -> bool {
-        self.plant_extent_rot(cid, oid, offset, shard)
-    }
-
-    /// Flip one byte of EC parity cell `parity_idx` in the chunk
-    /// holding `offset` — the planted-rot hook for cells no logical
-    /// byte offset addresses.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
-    pub fn inject_corrupt_parity(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        offset: u64,
-        parity_idx: u64,
-    ) -> bool {
-        self.plant_parity_rot(cid, oid, offset, parity_idx)
-    }
-
-    /// Flip a stored byte of a KV value's `shard`-th replica copy.
-    // simlint::allow(digest-taint) — planted-violation test hook: deliberately corrupts state to prove the oracles catch it
-    pub fn inject_corrupt_kv(
-        &mut self,
-        cid: ContainerId,
-        oid: Oid,
-        key: &[u8],
-        shard: u64,
-    ) -> bool {
-        self.plant_kv_rot(cid, oid, key, shard)
-    }
-
     fn obj(&self, cid: ContainerId, oid: Oid) -> Result<&ObjectEntry, DaosError> {
         self.cont(cid)?
             .objects
@@ -2837,6 +1085,38 @@ impl DaosSystem {
             .objects
             .get_mut(&oid)
             .ok_or(DaosError::NoSuchObject)
+    }
+
+    /// An Array object's payload ([`DaosError::WrongObjectType`] for a
+    /// Key-Value object).
+    fn array(&self, cid: ContainerId, oid: Oid) -> Result<&ArrayData, DaosError> {
+        match &self.obj(cid, oid)?.data {
+            ObjData::Array(a) => Ok(a),
+            ObjData::Kv(_) => Err(DaosError::WrongObjectType),
+        }
+    }
+
+    fn array_mut(&mut self, cid: ContainerId, oid: Oid) -> Result<&mut ArrayData, DaosError> {
+        match &mut self.obj_mut(cid, oid)?.data {
+            ObjData::Array(a) => Ok(a),
+            ObjData::Kv(_) => Err(DaosError::WrongObjectType),
+        }
+    }
+
+    /// A Key-Value object's payload ([`DaosError::WrongObjectType`] for
+    /// an Array object).
+    fn kv(&self, cid: ContainerId, oid: Oid) -> Result<&KvData, DaosError> {
+        match &self.obj(cid, oid)?.data {
+            ObjData::Kv(kv) => Ok(kv),
+            ObjData::Array(_) => Err(DaosError::WrongObjectType),
+        }
+    }
+
+    fn kv_mut(&mut self, cid: ContainerId, oid: Oid) -> Result<&mut KvData, DaosError> {
+        match &mut self.obj_mut(cid, oid)?.data {
+            ObjData::Kv(kv) => Ok(kv),
+            ObjData::Array(_) => Err(DaosError::WrongObjectType),
+        }
     }
 }
 
@@ -2860,16 +1140,6 @@ pub struct PoolInfo {
     pub kv_entries: usize,
 }
 
-/// Wrap repair copies as a `csum.repair` span ([`Step::Noop`] when the
-/// repair carried no billable movement, e.g. no servable clean source).
-fn repair_span(bytes: u64, moves: Vec<Step>) -> Step {
-    if moves.is_empty() {
-        Step::Noop
-    } else {
-        Step::span("csum", "repair", bytes, Step::par(moves))
-    }
-}
-
 /// Array chunks use their index as dkey; DAOS hashes it before routing,
 /// which is what spreads a sequential writer's consecutive chunks
 /// non-contiguously over the targets.
@@ -2880,79 +1150,21 @@ pub fn chunk_dkey_hash(chunk: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Compare an acked value against what a verification read returned:
-/// byte-for-byte when both sides carry bytes, by length otherwise
-/// (Sized mode tracks no content).  `None` means they agree.
-fn content_mismatch(acked: &AckedValue, read: &ReadPayload) -> Option<String> {
-    let read_len = read.len();
-    if acked.len() != read_len {
-        return Some(format!(
-            "acked {} bytes, read {} bytes",
-            acked.len(),
-            read_len
-        ));
+/// Bytes of `[offset, offset+len)` per shard group of `arr`, keyed by
+/// the group index `group_of` maps each touched chunk to.
+fn group_bytes(
+    arr: &ArrayData,
+    offset: u64,
+    len: u64,
+    group_of: impl Fn(u64) -> usize,
+) -> BTreeMap<usize, f64> {
+    let cs = arr.chunk_size();
+    let mut bytes: BTreeMap<usize, f64> = BTreeMap::new();
+    for chunk in arr.chunks_in_range(offset, len) {
+        let seg = (offset + len).min((chunk + 1) * cs) - offset.max(chunk * cs);
+        *bytes.entry(group_of(chunk)).or_default() += seg as f64;
     }
-    match (acked, read) {
-        (AckedValue::Bytes(b), ReadPayload::Bytes(rb)) if b != rb => {
-            let first = b.iter().zip(rb.iter()).position(|(x, y)| x != y);
-            Some(format!(
-                "content differs at byte {} of {} (acked digest {:#018x}, read digest {:#018x})",
-                first.unwrap_or(0),
-                b.len(),
-                content_digest(b),
-                content_digest(rb),
-            ))
-        }
-        _ => None,
-    }
-}
-
-/// Deterministic per-shard hash deciding whether (and where) a shard
-/// moves during a rebalance.  A pure function of the shard's identity,
-/// so replanning after a crash reproduces the same decisions.
-fn move_hash(oid: &Oid, g: usize, m: usize) -> u64 {
-    simkit::SplitMix64::new(oid.placement_hash() ^ ((g as u64) << 20) ^ (m as u64 + 1)).next_u64()
-}
-
-/// Destination for a shard leaving a draining target: a reintegrating
-/// target on a server the group does not already use, else any up
-/// target via the rebuild replacement policy, else `None` (the shard
-/// stays and is lost when the drain retires).
-fn pick_migration_dest(
-    pool: &PoolMap,
-    group: &[TargetId],
-    from: TargetId,
-    reint: &[TargetId],
-    hash: u64,
-) -> Option<TargetId> {
-    pick_reint_dest(pool, group, from, reint, hash).or_else(|| pick_replacement(pool, group, from))
-}
-
-/// Destination among the reintegrating targets only, preserving
-/// fault-domain spread (no server already used by the group); `None`
-/// when every reintegrating target collides with the group's servers.
-fn pick_reint_dest(
-    pool: &PoolMap,
-    group: &[TargetId],
-    from: TargetId,
-    reint: &[TargetId],
-    hash: u64,
-) -> Option<TargetId> {
-    let used: BTreeSet<u16> = group
-        .iter()
-        .copied()
-        .filter(|&t| t != from && pool.is_servable(t))
-        .map(|t| t.server)
-        .collect();
-    let fresh: Vec<TargetId> = reint
-        .iter()
-        .copied()
-        .filter(|t| !used.contains(&t.server))
-        .collect();
-    if fresh.is_empty() {
-        return None;
-    }
-    Some(fresh[(hash % fresh.len() as u64) as usize])
+    bytes
 }
 
 /// Distribution key hash (DAOS hashes dkeys to route to shards).
@@ -2972,35 +1184,47 @@ pub fn dkey_hash(key: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use cluster::ClusterSpec;
-    use simkit::{run, OpId, SimTime, World};
+    use simkit::{run, OpId, World};
 
-    struct Sink(SimTime);
+    struct Sink;
     impl World for Sink {
-        fn on_op_complete(&mut self, _op: OpId, sched: &mut Scheduler) {
-            self.0 = sched.now();
-        }
+        fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {}
     }
 
-    fn system(servers: usize, clients: usize, mode: DataMode) -> (Scheduler, DaosSystem) {
+    /// A pool over the first `servers` of `topo_servers` server nodes
+    /// (the rest is spare hardware for online adds) and one client
+    /// node, holding one container.
+    pub(super) fn pool_with_spares(
+        topo_servers: usize,
+        servers: usize,
+        mode: DataMode,
+    ) -> (Scheduler, DaosSystem, ContainerId) {
         let mut sched = Scheduler::new();
-        let topo = ClusterSpec::new(servers, clients).build(&mut sched);
-        let sys = DaosSystem::deploy(&topo, &mut sched, servers, mode);
-        (sched, sys)
+        let topo = ClusterSpec::new(topo_servers, 1).build(&mut sched);
+        let mut sys = DaosSystem::deploy(&topo, &mut sched, servers, mode);
+        let (cid, s) = sys.cont_create(0, ContainerProps::default());
+        exec(&mut sched, s);
+        (sched, sys, cid)
     }
 
-    fn exec(sched: &mut Scheduler, step: Step) -> f64 {
-        let t0 = sched.now();
+    /// A pool over `servers` server nodes and one client node, holding
+    /// one container.
+    pub(super) fn with_container(
+        servers: usize,
+        mode: DataMode,
+    ) -> (Scheduler, DaosSystem, ContainerId) {
+        pool_with_spares(servers, servers, mode)
+    }
+
+    /// Run `step` to completion.
+    pub(super) fn exec(sched: &mut Scheduler, step: Step) {
         sched.submit(step, OpId(0));
-        let mut w = Sink(SimTime::ZERO);
-        run(sched, &mut w);
-        w.0.secs_since(t0)
+        run(sched, &mut Sink);
     }
 
     #[test]
     fn kv_round_trip_full_mode() {
-        let (mut sched, mut sys) = system(2, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(2, DataMode::Full);
         let (kv, s) = sys.kv_create(0, cid, ObjectClass::S1).unwrap();
         exec(&mut sched, s);
         let s = sys
@@ -3026,9 +1250,7 @@ mod tests {
 
     #[test]
     fn ec_kv_rejected() {
-        let (mut sched, mut sys) = system(2, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (_sched, mut sys, cid) = with_container(2, DataMode::Full);
         assert_eq!(
             sys.kv_create(0, cid, ObjectClass::EC_2P1).unwrap_err(),
             DaosError::InvalidClass
@@ -3037,9 +1259,7 @@ mod tests {
 
     #[test]
     fn array_write_read_full_mode() {
-        let (mut sched, mut sys) = system(2, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(2, DataMode::Full);
         let (oid, s) = sys.array_create(0, cid, ObjectClass::SX, 1 << 16).unwrap();
         exec(&mut sched, s);
         let mut rng = simkit::SplitMix64::new(1);
@@ -3060,23 +1280,19 @@ mod tests {
     fn single_process_write_bandwidth_is_sane() {
         // One client streaming 1 MiB ops to a 1-server pool: bandwidth
         // must be below the server's SSD aggregate and well above zero.
-        let (mut sched, mut sys) = system(1, 1, DataMode::Sized);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Sized);
         let (oid, s) = sys.array_create(0, cid, ObjectClass::SX, 1 << 20).unwrap();
         exec(&mut sched, s);
         let n = 64u64;
         let mib = 1u64 << 20;
         let t0 = sched.now();
-        let mut total = 0.0;
         for i in 0..n {
             let s = sys
                 .array_write(0, cid, oid, i * mib, Payload::Sized(mib))
                 .unwrap();
-            total += exec(&mut sched, s);
+            exec(&mut sched, s);
         }
         let bw = (n * mib) as f64 / sched.now().secs_since(t0);
-        let _ = total;
         // A sequential QD1 writer is bound by one NVMe device's burst
         // bandwidth (sustained share × burst headroom) plus fixed per-op
         // latencies.
@@ -3124,9 +1340,7 @@ mod tests {
 
     #[test]
     fn replication_failover_and_ec_reconstruction() {
-        let (mut sched, mut sys) = system(3, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(3, DataMode::Full);
         // replicated KV
         let (kv, s) = sys.kv_create(0, cid, ObjectClass::RP_2).unwrap();
         exec(&mut sched, s);
@@ -3158,24 +1372,14 @@ mod tests {
 
     #[test]
     fn unreplicated_data_unavailable_after_exclusion() {
-        let (mut sched, mut sys) = system(1, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Full);
         let (oid, s) = sys.array_create(0, cid, ObjectClass::S1, 4096).unwrap();
         exec(&mut sched, s);
         let s = sys
             .array_write(0, cid, oid, 0, Payload::Bytes(vec![1; 4096]))
             .unwrap();
         exec(&mut sched, s);
-        let t = sys
-            .cont(cid)
-            .unwrap()
-            .objects
-            .values()
-            .next()
-            .unwrap()
-            .layout
-            .groups[0][0];
+        let t = sys.obj(cid, oid).unwrap().layout.groups[0][0];
         sys.exclude_target(t);
         assert_eq!(
             sys.array_read(0, cid, oid, 0, 4096).unwrap_err(),
@@ -3185,9 +1389,7 @@ mod tests {
 
     #[test]
     fn snapshots_and_destroy() {
-        let (mut sched, mut sys) = system(1, 1, DataMode::Sized);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Sized);
         let (e1, s) = sys.snapshot_create(0, cid).unwrap();
         exec(&mut sched, s);
         let (e2, s) = sys.snapshot_create(0, cid).unwrap();
@@ -3218,9 +1420,7 @@ mod tests {
 
     #[test]
     fn wrong_type_errors() {
-        let (mut sched, mut sys) = system(1, 1, DataMode::Full);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Full);
         let (kv, s) = sys.kv_create(0, cid, ObjectClass::S1).unwrap();
         exec(&mut sched, s);
         let (arr, s) = sys.array_create(0, cid, ObjectClass::S1, 4096).unwrap();
@@ -3243,9 +1443,7 @@ mod tests {
 
     #[test]
     fn punch_removes_object() {
-        let (mut sched, mut sys) = system(1, 1, DataMode::Sized);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Sized);
         let (oid, s) = sys.array_create(0, cid, ObjectClass::S1, 4096).unwrap();
         exec(&mut sched, s);
         assert_eq!(sys.object_count(cid).unwrap(), 1);
@@ -3254,33 +1452,10 @@ mod tests {
         assert_eq!(sys.object_count(cid).unwrap(), 0);
         assert!(sys.obj_punch(0, cid, oid).is_err());
     }
-}
-
-#[cfg(test)]
-mod attr_tests {
-    use super::*;
-    use crate::container::ContainerProps;
-    use crate::data::DataMode;
-    use cluster::ClusterSpec;
-    use simkit::{run, OpId, World};
-
-    struct Sink;
-    impl World for Sink {
-        fn on_op_complete(&mut self, _op: OpId, _sched: &mut Scheduler) {}
-    }
-
-    fn exec(sched: &mut Scheduler, step: Step) {
-        sched.submit(step, OpId(0));
-        run(sched, &mut Sink);
-    }
 
     #[test]
     fn container_attributes_round_trip() {
-        let mut sched = Scheduler::new();
-        let topo = ClusterSpec::new(1, 1).build(&mut sched);
-        let mut sys = DaosSystem::deploy(&topo, &mut sched, 1, DataMode::Sized);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(1, DataMode::Sized);
         let s = sys.cont_set_attr(0, cid, "owner", b"ecmwf").unwrap();
         exec(&mut sched, s);
         let s = sys.cont_set_attr(0, cid, "cycle", b"00z").unwrap();
@@ -3299,11 +1474,7 @@ mod attr_tests {
 
     #[test]
     fn object_listing_enumerates_oids() {
-        let mut sched = Scheduler::new();
-        let topo = ClusterSpec::new(2, 1).build(&mut sched);
-        let mut sys = DaosSystem::deploy(&topo, &mut sched, 2, DataMode::Sized);
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
+        let (mut sched, mut sys, cid) = with_container(2, DataMode::Sized);
         let mut created = Vec::new();
         for _ in 0..4 {
             let (oid, s) = sys.array_create(0, cid, ObjectClass::S1, 1 << 20).unwrap();
@@ -3317,215 +1488,5 @@ mod attr_tests {
         let (listed, s) = sys.obj_list(0, cid).unwrap();
         exec(&mut sched, s);
         assert_eq!(listed, created);
-    }
-
-    /// Deploy over fewer servers than the topology holds, leaving spare
-    /// hardware for online adds.
-    fn elastic_system(
-        topo_servers: usize,
-        deploy: usize,
-        clients: usize,
-        mode: DataMode,
-    ) -> (Scheduler, DaosSystem) {
-        let mut sched = Scheduler::new();
-        let topo = ClusterSpec::new(topo_servers, clients).build(&mut sched);
-        let sys = DaosSystem::deploy(&topo, &mut sched, deploy, mode);
-        (sched, sys)
-    }
-
-    fn drive_migration(sched: &mut Scheduler, sys: &mut DaosSystem) -> usize {
-        let mut waves = 0;
-        while let Some(step) = sys.migration_wave(16) {
-            exec(sched, step);
-            waves += 1;
-        }
-        assert_eq!(sys.migration_pending(), 0);
-        waves
-    }
-
-    #[test]
-    fn online_add_server_rebalances_minimally() {
-        let (mut sched, mut sys) = elastic_system(5, 4, 1, DataMode::Full);
-        sys.enable_ledger();
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
-        let (oid, s) = sys.array_create(0, cid, ObjectClass::SX, 1 << 16).unwrap();
-        exec(&mut sched, s);
-        let mut rng = simkit::SplitMix64::new(7);
-        let mut data = vec![0u8; 1 << 20];
-        rng.fill_bytes(&mut data);
-        let s = sys
-            .array_write(0, cid, oid, 0, Payload::Bytes(data.clone()))
-            .unwrap();
-        exec(&mut sched, s);
-        let v0 = sys.pool().version();
-        let rank = sys.add_server(&mut sched);
-        assert_eq!(rank, 4);
-        assert!(sys.pool().version() > v0);
-        assert_eq!(sys.pool().server_count(), 5);
-        // new targets serve but don't place yet
-        assert_eq!(sys.pool().up_count(), 4 * sys.cal().targets_per_server);
-        let report = sys.rebalance_plan();
-        let total_members: usize = 5 * sys.cal().targets_per_server;
-        // minimal movement: roughly 1/5th of the shard population moves,
-        // certainly not all of it
-        assert!(report.moves_planned > 0, "growth must move something");
-        assert!(
-            report.moves_planned < total_members / 2,
-            "moved {} of {} members — not minimal",
-            report.moves_planned,
-            total_members
-        );
-        let waves = drive_migration(&mut sched, &mut sys);
-        assert!(waves >= 1);
-        sys.finish_rebalance();
-        assert_eq!(sys.pool().up_count(), 5 * sys.cal().targets_per_server);
-        // data survives the move and the new layout serves it
-        let (r, s) = sys.array_read(0, cid, oid, 0, 1 << 20).unwrap();
-        exec(&mut sched, s);
-        assert_eq!(r.bytes().unwrap(), &data[..]);
-        assert!(sys.verify_durability(0).ok());
-        assert!(sys.verify_redundancy().ok());
-        let progress = sys.migration_progress();
-        assert_eq!(progress.moves_done, report.moves_planned);
-        assert!(progress.moved_bytes > 0.0);
-    }
-
-    #[test]
-    fn drain_server_evacuates_and_retires() {
-        let (mut sched, mut sys) = elastic_system(3, 3, 1, DataMode::Full);
-        sys.enable_ledger();
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
-        let (oid, s) = sys
-            .array_create(0, cid, ObjectClass::RP_2, 1 << 16)
-            .unwrap();
-        exec(&mut sched, s);
-        let mut rng = simkit::SplitMix64::new(9);
-        let mut data = vec![0u8; 400_000];
-        rng.fill_bytes(&mut data);
-        let s = sys
-            .array_write(0, cid, oid, 0, Payload::Bytes(data.clone()))
-            .unwrap();
-        exec(&mut sched, s);
-        sys.drain_server(1);
-        // drained targets still serve while migration runs
-        let (r, s) = sys.array_read(0, cid, oid, 0, 400_000).unwrap();
-        exec(&mut sched, s);
-        assert_eq!(r.bytes().unwrap(), &data[..]);
-        let report = sys.rebalance_plan();
-        assert!(report.moves_planned > 0);
-        assert_eq!(report.moves_skipped, 0, "2 healthy servers can host RP_2");
-        drive_migration(&mut sched, &mut sys);
-        sys.finish_rebalance();
-        // the drained server is retired and no live layout references it
-        assert_eq!(sys.pool().up_count(), 2 * sys.cal().targets_per_server);
-        for i in 0..sys.pool().total_targets() {
-            let t = sys.pool().target_at(i);
-            if t.server == 1 {
-                assert!(!sys.pool().is_servable(t));
-            }
-        }
-        assert!(sys.verify_durability(0).ok());
-        assert!(sys.verify_redundancy().ok());
-        let (r, s) = sys.array_read(0, cid, oid, 0, 400_000).unwrap();
-        exec(&mut sched, s);
-        assert_eq!(r.bytes().unwrap(), &data[..]);
-    }
-
-    #[test]
-    fn destination_crash_mid_migration_loses_unreplicated_shard() {
-        let (mut sched, mut sys) = elastic_system(2, 2, 1, DataMode::Full);
-        sys.enable_ledger();
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
-        let (oid, s) = sys.array_create(0, cid, ObjectClass::S1, 1 << 16).unwrap();
-        exec(&mut sched, s);
-        let s = sys
-            .array_write(0, cid, oid, 0, Payload::Bytes(vec![42u8; 100_000]))
-            .unwrap();
-        exec(&mut sched, s);
-        let home = sys.containers[cid.0 as usize].as_ref().unwrap().objects[&oid]
-            .layout
-            .groups[0][0];
-        sys.drain_server(home.server);
-        let report = sys.rebalance_plan();
-        assert!(report.moves_planned >= 1);
-        // the migration destination dies before the wave ships
-        let dst = sys.containers[cid.0 as usize].as_ref().unwrap().objects[&oid]
-            .layout
-            .groups[0][0];
-        assert_ne!(dst.server, home.server);
-        sys.crash_target(dst);
-        // every move to the dead destination is dropped as stale
-        assert!(sys.migration_wave(16).is_none() || sys.migration_progress().moves_dropped > 0);
-        while let Some(step) = sys.migration_wave(16) {
-            exec(&mut sched, step);
-        }
-        sys.finish_rebalance();
-        // an unreplicated shard whose destination died is gone — the
-        // durability oracle must name the loss
-        let audit = sys.verify_durability(0);
-        assert!(
-            audit
-                .violations
-                .iter()
-                .any(|v| v.oracle == OracleKind::AckedDurability),
-            "expected an acked-durability violation, got: {:?}",
-            audit.violations
-        );
-    }
-
-    #[test]
-    fn migration_resumes_after_crash_and_rebuild() {
-        let (mut sched, mut sys) = elastic_system(4, 3, 1, DataMode::Full);
-        sys.enable_ledger();
-        let (cid, s) = sys.cont_create(0, ContainerProps::default());
-        exec(&mut sched, s);
-        let mut rng = simkit::SplitMix64::new(11);
-        let mut oids = Vec::new();
-        for _ in 0..6 {
-            let (oid, s) = sys
-                .array_create(0, cid, ObjectClass::RP_2, 1 << 16)
-                .unwrap();
-            exec(&mut sched, s);
-            let mut data = vec![0u8; 200_000];
-            rng.fill_bytes(&mut data);
-            let s = sys
-                .array_write(0, cid, oid, 0, Payload::Bytes(data.clone()))
-                .unwrap();
-            exec(&mut sched, s);
-            oids.push((oid, data));
-        }
-        sys.add_server(&mut sched);
-        sys.drain_server(0);
-        let report = sys.rebalance_plan();
-        assert!(report.moves_planned > 0);
-        // ship one wave, then a target crashes mid-migration
-        if let Some(step) = sys.migration_wave(4) {
-            exec(&mut sched, step);
-        }
-        let victim = TargetId {
-            server: 1,
-            target: 0,
-        };
-        sys.crash_target(victim);
-        let (_rep, step) = sys.rebuild();
-        exec(&mut sched, step);
-        // migration resumes: stale moves (remapped by the rebuild or
-        // aimed at the dead target) drop, the rest ship
-        drive_migration(&mut sched, &mut sys);
-        sys.finish_rebalance();
-        for (oid, data) in &oids {
-            // reads may observe the crash once, then go degraded
-            let mut got = sys.array_read(0, cid, *oid, 0, data.len() as u64);
-            while matches!(got, Err(DaosError::TargetDown)) {
-                got = sys.array_read(0, cid, *oid, 0, data.len() as u64);
-            }
-            let (r, s) = got.unwrap();
-            exec(&mut sched, s);
-            assert_eq!(r.bytes().unwrap(), &data[..]);
-        }
-        assert!(sys.verify_durability(0).ok());
     }
 }

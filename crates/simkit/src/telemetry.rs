@@ -173,6 +173,20 @@ impl Telemetry {
         m.value += delta;
     }
 
+    /// Add each `(name, delta)` pair to its counter at `at`, interning
+    /// the names in the order given.  The one publisher of end-of-run
+    /// totals (rebuild, migration, checksum, scrub and retry reports).
+    /// No-op on a disabled registry.
+    pub fn add_counters(&mut self, at: SimTime, pairs: &[(&str, u64)]) {
+        if !self.enabled {
+            return;
+        }
+        for &(name, delta) in pairs {
+            let id = self.counter(name);
+            self.counter_add(id, at, delta);
+        }
+    }
+
     /// Set gauge `id` to `value` at sim time `at`.  Windows crossed
     /// since the previous update are filled with the carried level, so
     /// the per-window maxima are exact.
